@@ -118,7 +118,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--scale N] [--trials K] [--threads T] [--quick] [--paper]\n\
-         \x20  --scale N   log2 |S| (default 21; paper = 27)\n\
+         \x20  --scale N   log2 |S| (default 22; paper = 27)\n\
          \x20  --trials K  repetitions, best-of reported (default 1)\n\
          \x20  --threads T max threads for scalability binaries\n\
          \x20  --quick     smoke-test sizes (scale <= 18)\n\

@@ -1,6 +1,6 @@
 //! The AMAC executor (§3 of the paper) and its ablation variants.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{env, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Asynchronous Memory Access Chaining**.
 ///
@@ -146,7 +146,7 @@ fn run_amac_inner<O: LookupOp>(
             // check), so a tiered op's simulated clock must advance —
             // otherwise the drain tail would fake stalls the rotation
             // cadence actually hides.
-            op.sim_idle(1);
+            env::sim_idle(op, 1);
         }
         if modulo_index {
             k = (k + 1) % m;

@@ -45,7 +45,7 @@
 //! the current commit group and returns the group id the lane stores in
 //! its per-lookup state. Groups advance automatically every `G` lane
 //! births and explicitly at [`MemUnit::commit_group`] (executors call it
-//! through [`super::LookupOp::commit_point`] — GP seals per start pass,
+//! through [`super::env::commit`] — GP seals per start pass,
 //! the baseline per lookup; AMAC/SPP rely on the automatic advance, the
 //! deterministic analogue of `cp.async.commit_group` for executors whose
 //! "groups" are a sliding window rather than a barrier).
@@ -180,19 +180,15 @@ pub trait LoadBackend {
     #[inline(always)]
     fn stage(&mut self) {}
 
-    /// Let `ticks` of other lanes' time pass (tier rule 2).
-    #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        let _ = ticks;
-    }
-
     /// Current simulated time (0 when the backend keeps none).
     #[inline(always)]
     fn now(&self) -> u64 {
         0
     }
 
-    /// Lift the clock to `now` if behind (monotone composition protocol).
+    /// Lift the clock to `now` if behind (monotone composition protocol;
+    /// letting `t` ticks of other lanes' time pass — tier rule 2 — is
+    /// `advance_to(now + t)`).
     #[inline(always)]
     fn advance_to(&mut self, now: u64) {
         let _ = now;
@@ -246,13 +242,6 @@ impl<B: LoadBackend> LoadBackend for Option<B> {
     fn stage(&mut self) {
         if let Some(b) = self {
             b.stage();
-        }
-    }
-
-    #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        if let Some(b) = self {
-            b.idle(ticks);
         }
     }
 
@@ -341,13 +330,11 @@ pub trait MemUnit {
     /// Charge one executed code stage to the backend.
     fn stage(&mut self);
 
-    /// Let `ticks` of other lanes' time pass.
-    fn idle(&mut self, ticks: u64);
-
     /// The backend's current simulated time.
     fn now(&self) -> u64;
 
-    /// Lift the backend clock to `now` if behind.
+    /// Lift the backend clock to `now` if behind (`advance_to(now() + t)`
+    /// lets `t` ticks of other lanes' time pass).
     fn advance_to(&mut self, now: u64);
 
     /// Loads actually issued since the last flush.
@@ -428,11 +415,6 @@ impl<B: LoadBackend> MemUnit for ScalarUnit<B> {
     #[inline(always)]
     fn stage(&mut self) {
         self.backend.stage();
-    }
-
-    #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        self.backend.idle(ticks);
     }
 
     #[inline(always)]
@@ -619,11 +601,6 @@ impl<B: LoadBackend> MemUnit for CoalescingUnit<B> {
     }
 
     #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        self.backend.idle(ticks);
-    }
-
-    #[inline(always)]
     fn now(&self) -> u64 {
         self.backend.now()
     }
@@ -736,11 +713,6 @@ impl<B: LoadBackend> MemUnit for LoadUnit<B> {
     }
 
     #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        dispatch!(self, u => u.idle(ticks))
-    }
-
-    #[inline(always)]
     fn now(&self) -> u64 {
         dispatch!(self, u => u.now())
     }
@@ -798,9 +770,6 @@ mod tests {
         fn stage(&mut self) {
             self.now += 1;
             self.work += 1;
-        }
-        fn idle(&mut self, ticks: u64) {
-            self.now += ticks;
         }
         fn now(&self) -> u64 {
             self.now

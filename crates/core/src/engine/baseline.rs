@@ -1,6 +1,6 @@
 //! The no-prefetch baseline executor.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{env, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` one lookup at a time, exactly as the paper's "highly
 /// optimized no-prefetching" baseline: the core's own out-of-order window
@@ -38,7 +38,7 @@ pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats
         }
         // One lookup = one AMU commit group: with a single lane in flight
         // there is nothing to coalesce against.
-        op.commit_point();
+        env::commit(op);
     }
     op.flush_observed(&mut stats);
     stats

@@ -1,7 +1,7 @@
 //! The Group Prefetching executor (Chen et al., reproduced as the paper's
 //! comparison point).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{env, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Group Prefetching**.
 ///
@@ -44,7 +44,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
         }
         // The GP group IS the AMU commit group: seal it so the next
         // group's lanes cannot coalesce against this one's loads.
-        op.commit_point();
+        env::commit(op);
         // Stages 1..=N swept across the group.
         for _sweep in 0..n {
             for k in 0..g {
@@ -53,7 +53,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
                     // box. It costs a tick of simulated time, keeping the
                     // remaining lookups' prefetch distances honest.
                     stats.noops += 1;
-                    op.sim_idle(1);
+                    env::sim_idle(op, 1);
                     continue;
                 }
                 match op.step(&mut states[k]) {

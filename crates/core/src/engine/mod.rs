@@ -2,7 +2,8 @@
 //!
 //! # Model
 //!
-//! A *lookup* is a short state machine over a pointer chain:
+//! A *lookup* is a short state machine over a pointer chain (§3,
+//! Listing 1), and [`LookupOp`] is exactly that and little more:
 //!
 //! 1. [`LookupOp::start`] — the paper's *code stage 0*: consume one input
 //!    tuple, compute the first node address (hash the key / take the root),
@@ -10,11 +11,33 @@
 //!    the per-lookup state.
 //! 2. [`LookupOp::step`] — every later code stage: dereference the
 //!    previously prefetched node and either finish ([`Step::Done`]),
-//!    prefetch the next node ([`Step::Continue`]), or report a busy latch
-//!    ([`Step::Blocked`], no progress made).
+//!    prefetch the next node ([`Step::Continue`]), report a busy latch
+//!    ([`Step::Blocked`], no progress made) or abort on a failed simulated
+//!    load ([`Step::Failed`]).
 //!
 //! A lookup with the paper's "N dependent memory accesses / N+1 code
-//! stages" is thus one `start` plus N `step`s.
+//! stages" is thus one `start` plus N `step`s, and an executor is a loop
+//! that rotates `start`/`step` over a window of lookups. The trait's other
+//! four methods are bookkeeping around that loop:
+//! [`budgeted_steps`](LookupOp::budgeted_steps) (the `N` that GP and SPP
+//! size their schedules with), [`issues_prefetches`](LookupOp::issues_prefetches) and
+//! [`flush_observed`](LookupOp::flush_observed) (counters, below), and
+//! [`envs`](LookupOp::envs).
+//!
+//! # Memory environments
+//!
+//! Simulated far-memory time, fault injection, AMU load coalescing and
+//! tracing all live *behind* the ops, in one plug-in point: an op owns a
+//! memory environment ([`env::Env`]; the real one is `amac_tier::MemEnv`,
+//! which wraps the AMU [`amu::LoadUnit`] over an optional
+//! `amac_tier::SimClock` plus a tracer) and exposes it through
+//! [`LookupOp::envs`]. Executors never see clocks or tracers; they call
+//! the [`env`](mod@env) helpers at the few points where the window itself matters
+//! — [`env::sim_idle`] for a slot visit that ran no stage,
+//! [`env::commit`] at a batch boundary — and composition layers
+//! ([`pipeline::Chain`], [`mux::Mux`]) use [`env::sim_now`] /
+//! [`env::sim_advance_to`] to keep member clocks on one timeline. An op
+//! with no environment (the default) is untiered and untraced.
 //!
 //! # Prefetch accounting convention
 //!
@@ -37,6 +60,7 @@ mod amac_exec;
 pub mod amu;
 mod baseline;
 pub mod closure_api;
+pub mod env;
 mod gp;
 pub mod mux;
 pub mod pipeline;
@@ -46,6 +70,7 @@ mod tune;
 
 pub use amac_exec::{run_amac, run_amac_modulo, run_amac_no_merge};
 pub use baseline::run_baseline;
+pub use env::Env;
 pub use gp::run_gp;
 pub use spp::run_spp;
 pub use stats::EngineStats;
@@ -117,82 +142,16 @@ pub trait LookupOp {
         let _ = stats;
     }
 
-    /// Seal the op's current AMU commit group (see [`amu`]): lane births
-    /// after this point join a new group and cannot coalesce against
-    /// loads issued before it. Executors with a batch boundary call this
-    /// at that boundary — GP after each group's start pass, the baseline
-    /// after each lookup — and the morsel runtime calls it at feed ends
-    /// so ragged morsel tails cannot smear groups across threads. AMAC
-    /// and SPP have no batch boundary (their window slides); their ops
-    /// rely on the unit's automatic every-`G`-births advance, the
-    /// deterministic analogue of `cp.async.commit_group`. Default: the op
-    /// has no memory unit, nothing to seal.
+    /// Visit this op's memory environments ([`env`](mod@env)): the clocks, AMU
+    /// units and tracers it owns, in a fixed order. Everything
+    /// simulation- and trace-related that executors, the morsel runtime
+    /// and the serving layer do goes through this one hook via the
+    /// [`env`](mod@env) helpers ([`env::sim_idle`], [`env::commit`],
+    /// [`env::set_tracer`], …); composition layers forward it to their
+    /// members. Default: no environment — untiered, untraced.
     #[inline(always)]
-    fn commit_point(&mut self) {}
-
-    /// Let `ticks` of simulated time pass without this op executing a
-    /// stage. Executors call this once per visit to an idle window slot
-    /// (a GP/SPP no-op check, a drained AMAC slot), so a tiered op's
-    /// simulated clock (`amac_tier::SimClock`) keeps pace with the
-    /// window rotation even when the op itself is not called — without
-    /// it, a draining window would fake stalls that a real rotation
-    /// would have hidden. Default: no clock, nothing to do.
-    #[inline(always)]
-    fn sim_idle(&mut self, ticks: u64) {
-        let _ = ticks;
-    }
-
-    /// Current simulated time of this op's cost-model clock (0 when
-    /// untiered). Composition layers ([`mux::Mux`], fused
-    /// [`pipeline::Chain`]s) read it to keep member clocks in lock-step.
-    #[inline(always)]
-    fn sim_now(&self) -> u64 {
-        0
-    }
-
-    /// Lift this op's simulated clock to `now` if it is behind — the
-    /// other half of the composition protocol: before routing a stage to
-    /// a member op, the composition layer advances that member to the
-    /// shared window's current time, so time spent executing *other*
-    /// members' stages counts toward this member's prefetch distances.
-    /// Monotone; a stale `now` is a no-op. Default: no clock.
-    #[inline(always)]
-    fn sim_advance_to(&mut self, now: u64) {
-        let _ = now;
-    }
-
-    /// Install a structured tracer (`amac_trace`). Tracing ops record
-    /// their loads, stalls, faults and retirements into it at their
-    /// simulated-clock wait sites; composition layers fork it across
-    /// members. Tracing must never read or advance the op's clock — the
-    /// engine-visible results are bit-identical with tracing on or off.
-    /// Default: the op does not trace; the tracer is dropped.
-    #[inline(always)]
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        let _ = tracer;
-    }
-
-    /// Remove and return the op's tracer (composition layers merge their
-    /// members' tracers). Default: a disabled tracer.
-    #[inline(always)]
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        amac_trace::Tracer::off()
-    }
-
-    /// Whether this op currently records trace events — the one branch
-    /// callers pay before building an event on the op's behalf.
-    /// Default: never.
-    #[inline(always)]
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    /// Record a pre-built event into the op's tracer (runtime layers use
-    /// this for morsel/deadline events the op itself cannot see).
-    /// Default: no tracer, dropped.
-    #[inline(always)]
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        let _ = ev;
+    fn envs(&mut self, f: impl FnMut(&mut dyn Env)) {
+        let _ = f;
     }
 }
 

@@ -47,7 +47,7 @@
 //! `latch_retries`, `nodes_visited` and `tag_rejects` over lane ledgers
 //! reproduces the executor's global totals exactly.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{env, EngineStats, Env, LookupOp, Step};
 
 /// A per-query input: the lane that owns it plus the inner op's input.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +85,7 @@ pub struct Mux<O: LookupOp> {
     lanes: Vec<Option<O>>,
     observed: Vec<EngineStats>,
     /// The shared window's simulated time: advanced one tick per routed
-    /// stage (and by executor idle visits via [`LookupOp::sim_idle`]),
+    /// stage (and by executor idle visits via [`env::sim_idle`]),
     /// lifted to a lane clock's `now` after every call so lane stalls
     /// push window time forward too. Before routing a stage to a lane,
     /// the lane's clock is advanced to `seq` — that is how time spent on
@@ -204,6 +204,12 @@ impl<O: LookupOp> Mux<O> {
         &self.observed[lane as usize]
     }
 
+    /// The shared window's simulated time (what [`env::sim_now`] reports
+    /// for the mux, readable without a mutable borrow).
+    pub fn now(&self) -> u64 {
+        self.seq
+    }
+
     /// Number of occupied lanes.
     pub fn active_lanes(&self) -> usize {
         self.lanes.iter().filter(|l| l.is_some()).count()
@@ -242,9 +248,9 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         let op = self.lanes[i].as_mut().expect("start routed to vacant lane");
         // Clock sync: catch the lane up to window time, run its stage,
         // then fold its (possibly stalled) clock back into window time.
-        op.sim_advance_to(self.seq);
+        env::sim_advance_to(op, self.seq);
         op.start(input.input, &mut state.inner);
-        self.seq = (self.seq + 1).max(op.sim_now());
+        self.seq = (self.seq + 1).max(env::sim_now(op));
         let led = &mut self.observed[i];
         led.stages += 1;
         led.prefetches += op.issues_prefetches() as u64;
@@ -268,9 +274,9 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             return Step::Done;
         }
         let op = self.lanes[i].as_mut().expect("step routed to vacant lane");
-        op.sim_advance_to(self.seq);
+        env::sim_advance_to(op, self.seq);
         let r = op.step(&mut state.inner);
-        self.seq = (self.seq + 1).max(op.sim_now());
+        self.seq = (self.seq + 1).max(env::sim_now(op));
         let pf = op.issues_prefetches() as u64;
         let led = &mut self.observed[i];
         match r {
@@ -326,45 +332,41 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         stats.cancelled_lookups += core::mem::take(&mut self.pending_cancelled);
     }
 
-    /// Executor idle visits advance the shared window's simulated time;
-    /// every lane is caught up lazily at its next routed stage.
-    fn sim_idle(&mut self, ticks: u64) {
-        self.seq += ticks;
+    /// The mux's env is the shared window itself: its clock is `seq`
+    /// (executor idle visits advance it; every lane is caught up lazily
+    /// at its next routed stage), its tracer records lane lifecycle
+    /// events (per-lookup events belong to the lane ops' own tracers,
+    /// installed before [`Mux::add`]), and sealing it seals every lane's
+    /// commit group.
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut WindowEnv { seq: &mut self.seq, trace: &mut self.trace, lanes: &mut self.lanes });
+    }
+}
+
+/// A [`Mux`]'s env, borrowed for one visit (see [`LookupOp::envs`]).
+struct WindowEnv<'a, O> {
+    seq: &'a mut u64,
+    trace: &'a mut amac_trace::Tracer,
+    lanes: &'a mut [Option<O>],
+}
+
+impl<O: LookupOp> Env for WindowEnv<'_, O> {
+    fn now(&self) -> u64 {
+        *self.seq
     }
 
-    fn sim_now(&self) -> u64 {
-        self.seq
+    fn advance_to(&mut self, now: u64) {
+        *self.seq = (*self.seq).max(now);
     }
 
-    fn sim_advance_to(&mut self, now: u64) {
-        if now > self.seq {
-            self.seq = now;
-        }
-    }
-
-    fn commit_point(&mut self) {
+    fn commit_group(&mut self) {
         for op in self.lanes.iter_mut().flatten() {
-            op.commit_point();
+            env::commit(op);
         }
     }
 
-    /// The mux's own tracer records lane lifecycle events; per-lookup
-    /// events belong to the lane ops' tracers, installed before
-    /// [`Mux::add`].
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.trace = tracer;
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.trace.take()
-    }
-
-    fn tracing(&self) -> bool {
-        self.trace.enabled()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.trace.record(ev);
+    fn tracer(&mut self) -> Option<&mut amac_trace::Tracer> {
+        Some(self.trace)
     }
 }
 
@@ -533,5 +535,40 @@ mod tests {
         let (op, led) = mux.remove(lane);
         assert_eq!(op.outputs, solo.outputs);
         assert_eq!(led.lookups, want.lookups);
+    }
+
+    #[test]
+    fn env_helpers_see_the_window_clock_and_tracer_and_commit_every_lane() {
+        use crate::engine::testutil::EnvOp;
+        use amac_trace::{TraceEvent, Tracer};
+
+        let mut mux = Mux::new();
+        let a = mux.add(EnvOp::at(1, 0));
+        let b = mux.add(EnvOp::at(2, 0));
+        let lane_nows = |mux: &Mux<EnvOp>| [mux.lane(a).now, mux.lane(b).now];
+
+        // The clock is the window's `seq`; lanes catch up lazily.
+        env::sim_idle(&mut mux, 5);
+        env::sim_advance_to(&mut mux, 9);
+        assert_eq!((env::sim_now(&mut mux), mux.now()), (9, 9));
+        assert_eq!(lane_nows(&mux), [0, 0], "window time never touches idle lanes");
+        run(Technique::Amac, &mut mux, &[Tagged::new(a, ())], TuningParams::default());
+        assert!(mux.lane(a).now >= 9, "a routed stage lifts its lane to window time");
+        assert_eq!(mux.lane(b).now, 0);
+
+        // Sealing the window seals every lane's commit group.
+        env::commit(&mut mux);
+        assert_eq!([mux.lane(a).commits, mux.lane(b).commits], [1, 1]);
+
+        // The tracer is the mux's own (lane lifecycle events); lane ops
+        // keep theirs.
+        env::set_tracer(&mut mux, Tracer::on());
+        assert!(env::tracing(&mut mux));
+        env::record(&mut mux, TraceEvent::shed(0, 7));
+        mux.cancel(b);
+        assert!(!mux.lane(a).trace.enabled() && !mux.lane(b).trace.enabled());
+        let t = env::take_tracer(&mut mux);
+        assert_eq!(t.len(), 2, "the recorded event plus the cancel");
+        assert!(!env::tracing(&mut mux));
     }
 }

@@ -31,9 +31,11 @@
 //!
 //! Chains nest — `Chain<Chain<A, B, _>, C, _>` is a three-operator
 //! pipeline — and every composition stays a plain state machine: no
-//! allocation, no dynamic dispatch, no queues between operators.
+//! allocation, no queues between operators, and no dynamic dispatch once
+//! the members inline (env visits hand out `&mut dyn Env`, which the
+//! optimizer resolves to the concrete member env).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Env, LookupOp, Step};
 
 /// Outcome of one executed code stage of a pipeline operator.
 ///
@@ -103,59 +105,27 @@ pub trait PipelineOp {
         let _ = stats;
     }
 
-    /// Simulated idle time (see [`LookupOp::sim_idle`]); chains advance
-    /// every member so one shared pipeline-wide clock emerges.
+    /// Visit this operator's memory environments (see
+    /// [`LookupOp::envs`]); a chain visits its upstream's, then its
+    /// downstream's.
     #[inline(always)]
-    fn sim_idle(&mut self, ticks: u64) {
-        let _ = ticks;
+    fn envs(&mut self, f: impl FnMut(&mut dyn Env)) {
+        let _ = f;
     }
+}
 
-    /// Current simulated time (see [`LookupOp::sim_now`]); a chain
-    /// reports the max over its members.
-    #[inline(always)]
-    fn sim_now(&self) -> u64 {
-        0
-    }
+/// Simulated time of a pipeline operator: the max over its envs.
+#[inline]
+fn now_of<P: PipelineOp>(p: &mut P) -> u64 {
+    let mut now = 0;
+    p.envs(|e| now = now.max(e.now()));
+    now
+}
 
-    /// Lift the member clock(s) to `now` (see
-    /// [`LookupOp::sim_advance_to`]).
-    #[inline(always)]
-    fn sim_advance_to(&mut self, now: u64) {
-        let _ = now;
-    }
-
-    /// Seal the current AMU commit group (see
-    /// [`LookupOp::commit_point`]); chains seal every member.
-    #[inline(always)]
-    fn commit_point(&mut self) {}
-
-    /// Install a tracer (see [`LookupOp::set_tracer`]); chains fork it
-    /// so each member records independently.
-    #[inline(always)]
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        let _ = tracer;
-    }
-
-    /// Remove the tracer (see [`LookupOp::take_tracer`]); chains merge
-    /// their members' tracers back into one.
-    #[inline(always)]
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        amac_trace::Tracer::off()
-    }
-
-    /// Whether any member records trace events (see
-    /// [`LookupOp::tracing`]).
-    #[inline(always)]
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    /// Record a pre-built event (see [`LookupOp::trace`]); chains route
-    /// it to the upstream member's tracer.
-    #[inline(always)]
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        let _ = ev;
-    }
+/// Lift every env of a pipeline operator to `now`.
+#[inline]
+fn lift<P: PipelineOp>(p: &mut P, now: u64) {
+    p.envs(|e| e.advance_to(now));
 }
 
 /// The fused filter + projection between two pipeline operators.
@@ -248,14 +218,14 @@ where
         // the fused window has one timeline, so the member about to
         // execute is first lifted to the other's `now` — lazily, O(1) per
         // stage. (No-ops when the stages are untiered.)
-        self.up.sim_advance_to(self.down.sim_now());
+        lift(&mut self.up, now_of(&mut self.down));
         self.up.start(input, a);
     }
 
     fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
         match state {
             ChainState::Up(a) => {
-                self.up.sim_advance_to(self.down.sim_now());
+                lift(&mut self.up, now_of(&mut self.down));
                 match self.up.step(a) {
                     StageStep::Continue => StageStep::Continue,
                     StageStep::Blocked => StageStep::Blocked,
@@ -269,7 +239,7 @@ where
                         // stays in flight with no idle turn in between.
                         Some(next) => {
                             let mut b = B::State::default();
-                            self.down.sim_advance_to(self.up.sim_now());
+                            lift(&mut self.down, now_of(&mut self.up));
                             self.down.start(next, &mut b);
                             *state = ChainState::Down(b);
                             StageStep::Continue
@@ -278,7 +248,7 @@ where
                 }
             }
             ChainState::Down(b) => {
-                self.down.sim_advance_to(self.up.sim_now());
+                lift(&mut self.down, now_of(&mut self.up));
                 self.down.step(b)
             }
         }
@@ -293,43 +263,9 @@ where
         self.down.flush_observed(stats);
     }
 
-    fn sim_idle(&mut self, ticks: u64) {
-        let t = self.sim_now() + ticks;
-        self.up.sim_advance_to(t);
-        self.down.sim_advance_to(t);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.up.sim_now().max(self.down.sim_now())
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.up.sim_advance_to(now);
-        self.down.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.up.commit_point();
-        self.down.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.down.set_tracer(tracer.fork());
-        self.up.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        let mut t = self.up.take_tracer();
-        t.merge(self.down.take_tracer());
-        t
-    }
-
-    fn tracing(&self) -> bool {
-        self.up.tracing() || self.down.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.up.trace(ev);
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        self.up.envs(&mut f);
+        self.down.envs(&mut f);
     }
 }
 
@@ -379,36 +315,8 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
         self.0.flush_observed(stats);
     }
 
-    fn sim_idle(&mut self, ticks: u64) {
-        self.0.sim_idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.0.sim_now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.0.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.0.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.0.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.0.take_tracer()
-    }
-
-    fn tracing(&self) -> bool {
-        self.0.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.0.trace(ev);
+    fn envs(&mut self, f: impl FnMut(&mut dyn Env)) {
+        self.0.envs(f);
     }
 }
 
@@ -515,36 +423,8 @@ where
         self.pipe.flush_observed(stats);
     }
 
-    fn sim_idle(&mut self, ticks: u64) {
-        self.pipe.sim_idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.pipe.sim_now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.pipe.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.pipe.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.pipe.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.pipe.take_tracer()
-    }
-
-    fn tracing(&self) -> bool {
-        self.pipe.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.pipe.trace(ev);
+    fn envs(&mut self, f: impl FnMut(&mut dyn Env)) {
+        self.pipe.envs(f);
     }
 }
 
@@ -661,5 +541,54 @@ mod tests {
         assert_eq!(stats.prefetches, 7);
         // Stages: the above plus the terminal Emit step.
         assert_eq!(stats.stages, 8);
+    }
+
+    #[test]
+    fn env_helpers_reach_every_member_in_up_then_down_order() {
+        use super::super::env;
+        use super::super::testutil::EnvOp;
+        use amac_trace::{TraceEvent, Tracer};
+
+        // Three members across a nested chain: visit order is 1, 2, 3.
+        type Member = Terminal<EnvOp>;
+        type Three = Fused<Chain<Chain<Member, Member, PassThrough>, Member, PassThrough>, Discard>;
+        let member = |id, now| Terminal(EnvOp::at(id, now));
+        let inner = Chain::new(member(1, 3), member(2, 7), PassThrough);
+        let mut op: Three = Fused::new(Chain::new(inner, member(3, 5), PassThrough), Discard);
+        fn envs(op: &Three) -> [&EnvOp; 3] {
+            let (i, o) = (op.pipe().up(), op.pipe().down());
+            [i.up().inner(), i.down().inner(), o.inner()]
+        }
+
+        // Clock: now is the max over members; idle and advance lift all.
+        assert_eq!(env::sim_now(&mut op), 7);
+        env::sim_idle(&mut op, 2);
+        assert_eq!(envs(&op).map(|e| e.now), [9, 9, 9]);
+        env::sim_advance_to(&mut op, 4);
+        assert_eq!(envs(&op).map(|e| e.now), [9, 9, 9], "advance is monotone");
+        env::sim_advance_to(&mut op, 12);
+        assert_eq!(envs(&op).map(|e| e.now), [12, 12, 12]);
+        env::commit(&mut op);
+        assert_eq!(envs(&op).map(|e| e.commits), [1, 1, 1], "commit seals every member");
+
+        // Tracer: the first member takes the installed tracer itself
+        // (with its buffered event), later members take empty forks with
+        // the same stamps; `record` lands in the first member.
+        let mut t = Tracer::on().with_tenant(4);
+        t.record(TraceEvent::shed(0, 100));
+        env::set_tracer(&mut op, t);
+        assert!(env::tracing(&mut op));
+        assert_eq!(envs(&op).map(|e| e.trace.len()), [1, 0, 0]);
+        assert!(envs(&op).iter().all(|e| e.trace.enabled()), "every member traces");
+        env::record(&mut op, TraceEvent::shed(1, 101));
+        assert_eq!(envs(&op).map(|e| e.trace.len()), [2, 0, 0]);
+
+        // One lookup through all three members: each records a retire.
+        run(Technique::Amac, &mut op, &[()], TuningParams::default());
+        let got = env::take_tracer(&mut op);
+        let keys: Vec<u64> = got.events().map(|e| e.key).collect();
+        assert_eq!(keys, [100, 101, 1, 2, 3], "merged in visit order");
+        assert!(got.events().all(|e| e.tenant == 4), "forks keep the stamps");
+        assert!(!env::tracing(&mut op), "take leaves every member disabled");
     }
 }

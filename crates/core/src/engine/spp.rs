@@ -1,7 +1,7 @@
 //! The Software-Pipelined Prefetching executor (Chen et al., reproduced as
 //! the paper's comparison point).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{env, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Software-Pipelined Prefetching**.
 ///
@@ -57,8 +57,8 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
         for k in 0..m {
             if !active[k] {
                 // Retired slot: the rotation's status check still costs a
-                // tick of simulated time (see `LookupOp::sim_idle`).
-                op.sim_idle(1);
+                // tick of simulated time (see `env::sim_idle`).
+                env::sim_idle(op, 1);
                 continue;
             }
             if taken[k] == n {
@@ -85,7 +85,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
                 // Early exit: pad the reservation with a no-op stage (one
                 // tick of simulated time, like GP's gray boxes).
                 stats.noops += 1;
-                op.sim_idle(1);
+                env::sim_idle(op, 1);
                 taken[k] += 1;
                 continue;
             }

@@ -1,6 +1,7 @@
 //! Mock lookup ops used by the executor unit tests.
 
-use super::{LookupOp, Step};
+use super::{Env, LookupOp, Step};
+use amac_trace::Tracer;
 
 /// A simulated pointer chase: lookup `i` needs exactly `chains[i]` steps
 /// and then materializes `10 * chains[i]` at output position `i`.
@@ -124,5 +125,70 @@ impl LookupOp for LatchedOp {
         } else {
             Step::Continue
         }
+    }
+}
+
+/// A one-step op that is its own memory environment, exposing everything
+/// that reached it: its clock, the commit groups sealed on it and its
+/// tracer. `start` and `step` each charge one tick; a traced `step`
+/// records a retirement keyed by `id`, so tests can see which member env
+/// an event landed in.
+#[derive(Default)]
+pub struct EnvOp {
+    /// Identifies this op's events (`key` of its retire events).
+    pub id: u64,
+    /// Simulated time.
+    pub now: u64,
+    /// `commit_group` calls received.
+    pub commits: u32,
+    /// The installed tracer (disabled until one is set).
+    pub trace: Tracer,
+}
+
+impl EnvOp {
+    /// An op `id` whose clock starts at `now`.
+    pub fn at(id: u64, now: u64) -> Self {
+        EnvOp { id, now, ..Default::default() }
+    }
+}
+
+impl Env for EnvOp {
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn advance_to(&mut self, now: u64) {
+        self.now = self.now.max(now);
+    }
+
+    fn commit_group(&mut self) {
+        self.commits += 1;
+    }
+
+    fn tracer(&mut self) -> Option<&mut Tracer> {
+        Some(&mut self.trace)
+    }
+}
+
+impl LookupOp for EnvOp {
+    type Input = ();
+    type State = ();
+
+    fn budgeted_steps(&self) -> usize {
+        1
+    }
+
+    fn start(&mut self, _input: (), _state: &mut ()) {
+        self.now += 1;
+    }
+
+    fn step(&mut self, _state: &mut ()) -> Step {
+        self.now += 1;
+        self.trace.retire(self.now, "env", self.id, 0, false);
+        Step::Done
+    }
+
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(self);
     }
 }

@@ -132,7 +132,7 @@ fn run_schedule<U: MemUnit>(
                 unit.retire_lane(group[l]);
                 live[l] = false;
             }
-            5 => unit.idle(1 + rng.below(3) as u64),
+            5 => unit.advance_to(unit.now() + 1 + rng.below(3) as u64),
             6 => {
                 unit.wait_group();
                 // wait_group is the barrier: every ticket handed out so
@@ -266,7 +266,7 @@ proptest! {
         for t in out.tickets.iter().flatten() {
             prop_assert!(matches!(unit.poll(t), Completion::Ready));
         }
-        unit.idle(7);
+        unit.advance_to(unit.now() + 7);
         unit.stage();
         for t in out.tickets.iter().flatten() {
             prop_assert!(matches!(unit.poll(t), Completion::Ready), "Ready regressed to Pending");

@@ -134,7 +134,7 @@ where
 /// analogue of AMAC's drain-phase status checks: a tiered run passes a
 /// closure ticking its `amac_tier::SimClock` one idle tick, so simulated
 /// prefetch distances keep pace with the rotation exactly as in the
-/// state-machine executors (`LookupOp::sim_idle`).
+/// state-machine executors (`amac::engine::env::sim_idle`).
 pub fn run_interleaved_with_idle<I, T, F, Fut, S, D>(
     width: usize,
     inputs: &[I],

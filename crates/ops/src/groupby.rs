@@ -19,14 +19,14 @@
 //! create intra-thread conflicts — the dynamics behind Figure 9's GP/SPP
 //! collapse at z = 1.
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::amu::AddrClass;
+use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::agg::{AggHandle, AggValues};
 use amac_hashtable::{AggBucket, AggTable};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{SimClock, TierPolicy, TierSpec};
+use amac_tier::{Lane, MemEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{GroupByInput, Relation, Tuple};
 
@@ -85,20 +85,12 @@ pub struct GroupByState {
     header: *const AggBucket,
     cur: *const AggBucket,
     latched: bool,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// Chain hop index of the pending load (0 = header), for traced
-    /// stall attribution.
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header).
-    slab: u32,
     /// A load was issued and its trace event not yet recorded. Cleared
     /// at the first wait; a blocked latch attempt re-enters `step` and
     /// re-waits the same ticket without recording a duplicate event.
     pending: bool,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
+    /// The lookup's AMU lane (pending load, hop, slab, commit group).
+    lane: Lane,
 }
 
 impl Default for GroupByState {
@@ -109,11 +101,8 @@ impl Default for GroupByState {
             header: core::ptr::null(),
             cur: core::ptr::null(),
             latched: false,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
             pending: false,
-            group: 0,
+            lane: Lane::default(),
         }
     }
 }
@@ -124,12 +113,8 @@ pub struct GroupByOp<'a> {
     n_stages: usize,
     tuples: u64,
     nodes_visited: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// Memory environment every load routes through.
+    env: MemEnv,
 }
 
 impl<'a> GroupByOp<'a> {
@@ -140,9 +125,7 @@ impl<'a> GroupByOp<'a> {
             n_stages: if cfg.n_stages == 0 { 2 } else { cfg.n_stages },
             tuples: 0,
             nodes_visited: 0,
-            unit: LoadUnit::new(cfg.tier.map(|t| t.clock()), cfg.coalesce),
-            policy: cfg.tier.map(|t| t.policy),
-            trace: Tracer::off(),
+            env: MemEnv::new(cfg.tier, None, cfg.coalesce),
         }
     }
 
@@ -168,18 +151,12 @@ impl LookupOp for GroupByOp<'_> {
         state.header = header;
         state.cur = core::ptr::null();
         state.latched = false;
-        state.hop = 0;
-        state.slab = 0;
         state.pending = true;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
-        let t = self.unit.issue(AddrClass::header_ptr(header), 0, state.group);
-        if t.fresh {
+        if self.env.begin(&mut state.lane, AddrClass::header_ptr(header)).fresh {
             prefetch_write(header);
         }
-        state.ready_at = t.ready_at;
     }
 
     fn step(&mut self, state: &mut GroupByState) -> Step {
@@ -188,23 +165,10 @@ impl LookupOp for GroupByOp<'_> {
         // wait on a ticket records a load event (a blocked retry re-waits
         // at zero stall), keeping one event per issued request while the
         // attributed stall stays exactly what the wait charges.
-        if state.pending {
-            state.pending = false;
-            if self.trace.enabled() {
-                let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-                self.trace.load(
-                    self.unit.now(),
-                    "groupby",
-                    state.key,
-                    class,
-                    tier,
-                    crate::hop16(state.hop),
-                    state.ready_at,
-                );
-            }
+        if core::mem::take(&mut state.pending) {
+            self.env.load("groupby", state.key, &state.lane);
         }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.env.wait(&state.lane);
         // SAFETY: header/cur point at the table's headers or arena-owned
         // chain nodes; mutation happens only while `latched`.
         unsafe {
@@ -224,22 +188,14 @@ impl LookupOp for GroupByOp<'_> {
                 d.aggs = AggValues::first(state.payload);
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.env.retire(&state.lane, "groupby", state.key, false);
                 return Step::Done;
             }
             if d.key == state.key {
                 d.aggs.update(state.payload);
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.env.retire(&state.lane, "groupby", state.key, false);
                 return Step::Done;
             }
             if d.next == NULL_INDEX {
@@ -251,35 +207,30 @@ impl LookupOp for GroupByOp<'_> {
                 d.next = idx;
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.env.retire(&state.lane, "groupby", state.key, false);
                 return Step::Done;
             }
             let idx = d.next;
             let next = self.handle.table().node_ptr(idx);
             state.cur = next;
-            state.hop += 1;
-            state.slab = slab_of_index(idx);
             state.pending = true;
-            let t = self.unit.issue(AddrClass::slab_ptr(state.slab, next), 0, state.group);
-            if t.fresh {
+            // The group-by env has no fault plan (latched writes cannot
+            // roll back), so this ticket never fails.
+            if self.env.hop(&mut state.lane, state.key, slab_of_index(idx), next).fresh {
                 prefetch_read(next);
             }
-            state.ready_at = t.ready_at;
             Step::Continue
         }
     }
 
     fn flush_observed(&mut self, stats: &mut EngineStats) {
         stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Run the group-by of `input` into `table` with `technique`.
@@ -291,11 +242,11 @@ pub fn groupby(
 ) -> GroupByOutput {
     let mut op = GroupByOp::new(table, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &input.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = env::take_tracer(&mut op);
     GroupByOutput {
         tuples: op.tuples,
         stats,

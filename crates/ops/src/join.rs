@@ -1,13 +1,13 @@
 //! Hash join build and probe under all four techniques (§5.1).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::amu::AddrClass;
+use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, BuildHandle, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec};
+use amac_tier::{FaultPlan, Lane, MemEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -127,30 +127,13 @@ pub struct ProbeState {
     ptr: *const Bucket,
     /// [`probe_word`] of the key's fingerprint, computed once in stage 0.
     probe: u32,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// Chain hop index, for schedule-invariant fault tokens
-    /// ([`fault_token`]`(key, hop)`; faulted runs only).
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), so traced stalls attribute to the slab's tier.
-    slab: u32,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
+    /// The lookup's AMU lane (pending load, hop, slab, commit group).
+    lane: Lane,
 }
 
 impl Default for ProbeState {
     fn default() -> Self {
-        ProbeState {
-            key: 0,
-            idx: 0,
-            ptr: core::ptr::null(),
-            probe: 0,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
-            group: 0,
-        }
+        ProbeState { key: 0, idx: 0, ptr: core::ptr::null(), probe: 0, lane: Lane::default() }
     }
 }
 
@@ -167,40 +150,19 @@ pub struct ProbeOp<'a> {
     nodes_visited: u64,
     /// Nodes rejected by the SWAR tag filter (no key bytes touched).
     tag_rejects: u64,
-    /// The AMU memory unit every load request routes through
-    /// ([`ProbeConfig::tier`] builds its backend clock,
-    /// [`ProbeConfig::coalesce`] selects scalar vs coalescing issue).
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation),
-    /// so traced loads classify to the same tier the clock charged.
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// Memory environment every load routes through (built from
+    /// [`ProbeConfig::tier`], [`ProbeConfig::fault`] and
+    /// [`ProbeConfig::coalesce`]).
+    env: MemEnv,
 }
 
 impl<'a> ProbeOp<'a> {
     /// Build the op for one run over `n_probes` tuples.
     pub fn new(ht: &'a HashTable, cfg: &ProbeConfig, n_probes: usize) -> Self {
         let n_stages = if cfg.n_stages == 0 { auto_chain_estimate(ht) } else { cfg.n_stages };
-        // A fault plan needs a clock to hook into; `headers_near(1)` is
-        // the minimal far placement (chain slabs far at 1x latency), so
-        // faults work even when the caller didn't ask for tiered costs.
-        let clock = match (cfg.tier, cfg.fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
-        // The same derivation, projected to the placement policy, so
-        // trace attribution agrees with what the clock charges.
-        let policy = match (cfg.tier, cfg.fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
         ProbeOp {
             ht,
-            unit: LoadUnit::new(clock, cfg.coalesce),
+            env: MemEnv::new(cfg.tier, cfg.fault, cfg.coalesce),
             cfg: cfg.clone(),
             n_stages,
             matches: 0,
@@ -209,8 +171,6 @@ impl<'a> ProbeOp<'a> {
             cursor: 0,
             nodes_visited: 0,
             tag_rejects: 0,
-            policy,
-            trace: Tracer::off(),
         }
     }
 
@@ -269,41 +229,21 @@ impl LookupOp for ProbeOp<'_> {
         state.idx = self.cursor;
         state.ptr = ptr;
         state.probe = probe_word(tag_of(input.key));
-        state.hop = 0;
-        state.slab = 0;
         self.cursor += 1;
-        // AMU protocol: register the lane, charge the stage, request the
-        // header line. A coalesced (non-fresh) ticket rides an in-group
-        // duplicate's fill, so only fresh tickets issue the hardware hint.
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
+        // A coalesced (non-fresh) ticket rides an in-group duplicate's
+        // fill, so only fresh tickets issue the hardware hint.
+        if self.env.begin(&mut state.lane, AddrClass::header_ptr(ptr)).fresh {
             self.cfg.hint.issue(ptr);
         }
-        state.ready_at = t.ready_at;
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
     /// hit, output on match, chase the `u32` chain index.
     fn step(&mut self, state: &mut ProbeState) -> Step {
-        // Dereferencing the requested line: stall until its ticket is
-        // ready, then execute this stage. The trace hook sits before the
-        // wait so the recorded stall is exactly what the wait charges.
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-            self.trace.load(
-                self.unit.now(),
-                "probe",
-                state.key,
-                class,
-                tier,
-                crate::hop16(state.hop),
-                state.ready_at,
-            );
-        }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        // Dereferencing the requested line: stall until it is resident,
+        // then execute this stage.
+        self.env.load("probe", state.key, &state.lane);
+        self.env.wait(&state.lane);
         // SAFETY: probe runs in the table's read-only phase; `ptr` always
         // points at the header or an arena-owned chain node.
         let d = unsafe { (*state.ptr).data() };
@@ -327,55 +267,25 @@ impl LookupOp for ProbeOp<'_> {
             self.tag_rejects += 1;
         }
         if hit && !self.cfg.scan_all {
-            if self.trace.enabled() {
-                self.trace.retire(
-                    self.unit.now(),
-                    "probe",
-                    state.key,
-                    crate::hop16(state.hop),
-                    false,
-                );
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "probe", state.key, false);
             return Step::Done; // early exit on unique-key match
         }
         let next = d.next;
         if next == NULL_INDEX {
-            if self.trace.enabled() {
-                self.trace.retire(
-                    self.unit.now(),
-                    "probe",
-                    state.key,
-                    crate::hop16(state.hop),
-                    false,
-                );
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "probe", state.key, false);
             return Step::Done; // chain exhausted
         }
         let ptr = self.ht.node_ptr(next);
         state.ptr = ptr;
-        // Chain loads resolve through the backend's fault-checked path: a
-        // poisoned far load aborts the lookup. The token is (key, hop), so
-        // the fault set is identical under every executor and schedule —
-        // and under coalescing, which re-runs the decision per request.
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
+        // A poisoned far load aborts the lookup.
+        let t = self.env.hop(&mut state.lane, state.key, slab_of_index(next), ptr);
         if t.fresh {
             self.cfg.hint.issue(ptr);
         }
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "probe", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "probe", state.key, true);
             return Step::Failed;
         }
-        state.ready_at = t.ready_at;
         Step::Continue
     }
 
@@ -386,24 +296,25 @@ impl LookupOp for ProbeOp<'_> {
     fn flush_observed(&mut self, stats: &mut EngineStats) {
         stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
         stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Run a probe of `s` against `ht` with `technique`.
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
     let mut op = ProbeOp::new(ht, cfg, s.len());
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let cycles = timer.cycles();
     let seconds = timer.seconds();
-    let trace = op.take_tracer();
+    let trace = env::take_tracer(&mut op);
     ProbeOutput {
         matches: op.matches,
         checksum: op.checksum,
@@ -444,15 +355,13 @@ pub struct BuildState {
     key: u64,
     payload: u64,
     bucket: *const Bucket,
-    /// Simulated tick the prefetched header arrives (tiered runs only).
-    ready_at: u64,
-    /// AMU commit group this insert's lane was born into.
-    group: u32,
+    /// The insert's AMU lane (one header load).
+    lane: Lane,
 }
 
 impl Default for BuildState {
     fn default() -> Self {
-        BuildState { key: 0, payload: 0, bucket: core::ptr::null(), ready_at: 0, group: 0 }
+        BuildState { key: 0, payload: 0, bucket: core::ptr::null(), lane: Lane::default() }
     }
 }
 
@@ -461,24 +370,16 @@ impl Default for BuildState {
 pub struct BuildOp<'a> {
     handle: BuildHandle<'a>,
     nodes_visited: u64,
-    /// Scalar AMU unit: builds issue one header load per insert, so
-    /// there is nothing for a coalescing unit to dedup within a lane.
-    unit: LoadUnit<Option<SimClock>>,
+    /// Scalar-unit environment: builds issue one header load per insert,
+    /// so there is nothing for a coalescing unit to dedup within a lane.
+    env: MemEnv,
 }
 
 impl<'a> BuildOp<'a> {
-    /// Create a build op inserting into `ht` through a private arena.
-    pub fn new(ht: &'a HashTable) -> Self {
-        Self::with_tier(ht, None)
-    }
-
-    /// [`new`](BuildOp::new) with an optional memory-tier cost model.
-    pub fn with_tier(ht: &'a HashTable, tier: Option<TierSpec>) -> Self {
-        BuildOp {
-            handle: ht.build_handle(),
-            nodes_visited: 0,
-            unit: LoadUnit::scalar(tier.map(|t| t.clock())),
-        }
+    /// Create a build op inserting into `ht` through a private arena,
+    /// under an optional memory-tier cost model.
+    pub fn new(ht: &'a HashTable, tier: Option<TierSpec>) -> Self {
+        BuildOp { handle: ht.build_handle(), nodes_visited: 0, env: MemEnv::new(tier, None, None) }
     }
 }
 
@@ -497,17 +398,14 @@ impl LookupOp for BuildOp<'_> {
         state.key = input.key;
         state.payload = input.payload;
         state.bucket = bucket;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        state.ready_at = self.unit.issue(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
+        self.env.begin(&mut state.lane, AddrClass::header_ptr(bucket));
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
     fn step(&mut self, state: &mut BuildState) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.env.wait(&state.lane);
         // SAFETY: bucket is a valid header of the handle's table.
         unsafe {
             if !(*state.bucket).latch.try_acquire() {
@@ -519,22 +417,24 @@ impl LookupOp for BuildOp<'_> {
         // The O(1) head insert dereferences the (prefetched) header; any
         // overflow-head touch shares the same latched stage.
         self.nodes_visited += 1;
-        self.unit.retire_lane(state.group);
+        self.env.release(&state.lane);
         Step::Done
     }
 
     fn flush_observed(&mut self, stats: &mut EngineStats) {
         stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Build `ht` from `r` with `technique`. The table must be empty (or at
 /// least sized for the extra tuples).
 pub fn build(ht: &HashTable, r: &Relation, technique: Technique, cfg: &BuildConfig) -> BuildOutput {
-    let mut op = BuildOp::with_tier(ht, cfg.tier);
+    let mut op = BuildOp::new(ht, cfg.tier);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &r.tuples, cfg.params);
     BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }

@@ -11,14 +11,14 @@
 //! [`nodes_visited`](amac::engine::EngineStats::nodes_visited) per lookup
 //! (see `bench/bin/layout` and `tests/layout_ab.rs`).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::amu::AddrClass;
+use amac::engine::{run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::legacy::{LegacyAggBucket, LegacyAggHandle, LegacyBucket};
 use amac_hashtable::{LegacyAggTable, LegacyHashTable, LEGACY_TUPLES_PER_NODE};
 use amac_mem::prefetch::{prefetch_read, prefetch_write, PrefetchHint};
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{SimClock, TierSpec};
+use amac_tier::{Lane, MemEnv, TierSpec};
 use amac_workload::{Relation, Tuple};
 
 /// Result of one legacy probe run (same shape as the layout-relevant
@@ -39,15 +39,13 @@ pub struct LegacyProbeOutput {
 pub struct LegacyProbeState {
     key: u64,
     ptr: *const LegacyBucket,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
+    /// The lookup's AMU lane (pending load, commit group).
+    lane: Lane,
 }
 
 impl Default for LegacyProbeState {
     fn default() -> Self {
-        LegacyProbeState { key: 0, ptr: core::ptr::null(), ready_at: 0, group: 0 }
+        LegacyProbeState { key: 0, ptr: core::ptr::null(), lane: Lane::default() }
     }
 }
 
@@ -60,34 +58,24 @@ pub struct LegacyProbeOp<'a> {
     matches: u64,
     checksum: u64,
     nodes_visited: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
+    /// Memory environment every load routes through.
+    env: MemEnv,
 }
 
 impl<'a> LegacyProbeOp<'a> {
     /// Build the op; `scan_all` as for
     /// [`ProbeConfig`](crate::join::ProbeConfig).
     pub fn new(ht: &'a LegacyHashTable, hint: PrefetchHint, scan_all: bool) -> Self {
-        Self::with_tier(ht, hint, scan_all, None)
+        Self::with_unit(ht, hint, scan_all, None, None)
     }
 
     /// [`new`](LegacyProbeOp::new) with an optional memory-tier cost
-    /// model. The legacy layout's pointer-linked chunks carry no slab
-    /// indices, so every chain node is charged as arena slab `0` — under
-    /// the shipped policies that is the same near/far assignment as the
-    /// tag-probed layout's nodes, keeping A/B comparisons honest.
-    pub fn with_tier(
-        ht: &'a LegacyHashTable,
-        hint: PrefetchHint,
-        scan_all: bool,
-        tier: Option<TierSpec>,
-    ) -> Self {
-        Self::with_unit(ht, hint, scan_all, tier, None)
-    }
-
-    /// [`with_tier`](LegacyProbeOp::with_tier) plus the AMU coalescing
-    /// knob (see
+    /// model and the AMU coalescing knob (see
     /// [`ProbeConfig::coalesce`](crate::join::ProbeConfig::coalesce)).
+    /// The legacy layout's pointer-linked chunks carry no slab indices,
+    /// so every chain node is charged as arena slab `0` — under the
+    /// shipped policies that is the same near/far assignment as the
+    /// tag-probed layout's nodes, keeping A/B comparisons honest.
     pub fn with_unit(
         ht: &'a LegacyHashTable,
         hint: PrefetchHint,
@@ -105,7 +93,7 @@ impl<'a> LegacyProbeOp<'a> {
             matches: 0,
             checksum: 0,
             nodes_visited: 0,
-            unit: LoadUnit::new(tier.map(|t| t.clock()), coalesce),
+            env: MemEnv::new(tier, None, coalesce),
         }
     }
 
@@ -134,18 +122,13 @@ impl LookupOp for LegacyProbeOp<'_> {
         let ptr = self.ht.bucket_addr(input.key);
         state.key = input.key;
         state.ptr = ptr;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
+        if self.env.begin(&mut state.lane, AddrClass::header_ptr(ptr)).fresh {
             self.hint.issue(ptr);
         }
-        state.ready_at = t.ready_at;
     }
 
     fn step(&mut self, state: &mut LegacyProbeState) -> Step {
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.env.wait(&state.lane);
         // SAFETY: read-only probe phase; nodes owned by the table.
         let d = unsafe { (*state.ptr).data() };
         self.nodes_visited += 1;
@@ -159,21 +142,19 @@ impl LookupOp for LegacyProbeOp<'_> {
             }
         }
         if hit && !self.scan_all {
-            self.unit.retire_lane(state.group);
+            self.env.release(&state.lane);
             return Step::Done;
         }
         let next = d.next;
         if next.is_null() {
-            self.unit.retire_lane(state.group);
+            self.env.release(&state.lane);
             return Step::Done;
         }
         state.ptr = next;
         // Legacy chunks have no slab indices; charged as slab 0.
-        let t = self.unit.issue(AddrClass::slab_ptr(0, next), 0, state.group);
-        if t.fresh {
+        if self.env.hop(&mut state.lane, state.key, 0, next).fresh {
             self.hint.issue(next);
         }
-        state.ready_at = t.ready_at;
         Step::Continue
     }
 
@@ -183,10 +164,12 @@ impl LookupOp for LegacyProbeOp<'_> {
 
     fn flush_observed(&mut self, stats: &mut EngineStats) {
         stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Probe `s` against the legacy table with `technique`.

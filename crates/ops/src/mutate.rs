@@ -38,15 +38,15 @@
 //! segment through the same primitives, reproducing the physical table
 //! bit-for-bit (same fresh-node indices, same chain order).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::amu::AddrClass;
+use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec, WalRecord};
+use amac_tier::{FaultPlan, Lane, MemEnv, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -122,13 +122,8 @@ pub struct MutState {
     /// True until the header step ran (its `next` needs the fresh-prefix
     /// skip; frozen interiors cannot grow fresh nodes).
     at_header: bool,
-    /// Chain hop index for schedule-invariant fault tokens.
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), for traced stall attribution.
-    slab: u32,
-    /// AMU commit group of this mutation's lane.
-    group: u32,
+    /// The mutation's AMU lane (pending load, hop, slab, commit group).
+    lane: Lane,
 }
 
 impl Default for MutState {
@@ -139,9 +134,7 @@ impl Default for MutState {
             ptr: core::ptr::null(),
             probe: 0,
             at_header: true,
-            hop: 0,
-            slab: 0,
-            group: 0,
+            lane: Lane::default(),
         }
     }
 }
@@ -162,10 +155,10 @@ pub struct MutateOp<'a> {
     /// Amortized asymmetric write ticks per WAL record
     /// (`write_latency / M`, ≥ 1), 0 with logging off.
     write_cost: u64,
-    /// Scalar AMU unit. Mutations never coalesce: group composition is
-    /// schedule-dependent under morsel stealing, which would make
-    /// `issued_loads` vary across thread counts.
-    unit: LoadUnit<Option<SimClock>>,
+    /// Scalar-unit environment. Mutations never coalesce: group
+    /// composition is schedule-dependent under morsel stealing, which
+    /// would make `issued_loads` vary across thread counts.
+    env: MemEnv,
     applied: u64,
     created: u64,
     merged: u64,
@@ -175,10 +168,6 @@ pub struct MutateOp<'a> {
     log_bytes: u64,
     log_stalls: u64,
     wal: Vec<WalRecord>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
 }
 
 impl<'a> MutateOp<'a> {
@@ -189,26 +178,16 @@ impl<'a> MutateOp<'a> {
             _ if cfg.n_stages == 0 => crate::join::auto_chain_estimate(ht),
             _ => cfg.n_stages,
         };
-        let clock = match (cfg.tier, cfg.fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
+        let env = MemEnv::new(cfg.tier, cfg.fault, None);
         let group = cfg.params.in_flight.max(1) as u64;
-        let model = cfg.tier.map(|t| t.model).unwrap_or_default();
-        let policy = match (cfg.tier, cfg.fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
+        let model = env.spec().map(|t| t.model).unwrap_or_default();
         MutateOp {
             ht,
             bound: ht.freeze(),
             n_stages,
             hide: group,
             write_cost: if cfg.wal { model.write_latency().div_ceil(group).max(1) } else { 0 },
-            unit: LoadUnit::scalar(clock),
+            env,
             cfg: cfg.clone(),
             applied: 0,
             created: 0,
@@ -219,8 +198,6 @@ impl<'a> MutateOp<'a> {
             log_bytes: 0,
             log_stalls: 0,
             wal: Vec::new(),
-            policy,
-            trace: Tracer::off(),
         }
     }
 
@@ -256,16 +233,12 @@ impl<'a> MutateOp<'a> {
     /// traced load event records exactly the residual as its stall, so
     /// attribution sums to `sim_stalls` under this model too.
     #[inline]
-    fn charge_residual(&mut self, key: u64, hop: u32, slab: u32, ready_at: u64) {
-        let now = self.unit.now();
-        let residual = ready_at.saturating_sub(now).saturating_sub(self.hide);
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, hop, slab);
-            self.trace.load(now, "mutate", key, class, tier, crate::hop16(hop), now + residual);
-        }
-        if residual > 0 {
-            self.unit.wait(now + residual);
-        }
+    fn charge_residual(&mut self, key: u64, lane: &Lane) {
+        let now = Env::now(&self.env);
+        let residual = lane.ready_at.saturating_sub(now).saturating_sub(self.hide);
+        let charged = Lane { ready_at: now + residual, ..*lane };
+        self.env.load("mutate", key, &charged);
+        self.env.wait_until(charged.ready_at);
     }
 
     /// Append the lookup's WAL record and charge the log costs.
@@ -317,19 +290,14 @@ impl LookupOp for MutateOp<'_> {
         state.ptr = ptr;
         state.probe = probe_word(tag_of(input.key));
         state.at_header = true;
-        state.hop = 0;
-        state.slab = 0;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
+        if self.env.begin(&mut state.lane, AddrClass::header_ptr(ptr)).fresh {
             self.cfg.hint.issue(ptr);
         }
-        self.charge_residual(state.key, 0, 0, t.ready_at);
+        self.charge_residual(state.key, &state.lane);
     }
 
     fn step(&mut self, state: &mut MutState) -> Step {
-        self.unit.stage();
+        self.env.stage();
         // SAFETY: ptr is the header or a frozen arena node of this
         // table; frozen meta/next are immutable during the epoch, and
         // slot accesses go through the atomic views.
@@ -340,11 +308,7 @@ impl LookupOp for MutateOp<'_> {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
                 self.terminal(state.key, state.delta);
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "mutate", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.env.retire(&state.lane, "mutate", state.key, false);
                 return Step::Done;
             }
             MutateKind::Upsert => {
@@ -358,11 +322,7 @@ impl LookupOp for MutateOp<'_> {
                             self.merged += 1;
                             self.applied += 1;
                             self.log(WalRecord::Upsert { key: state.key, delta: state.delta });
-                            if self.trace.enabled() {
-                                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                                self.trace.retire(now, "mutate", state.key, hop, false);
-                            }
-                            self.unit.retire_lane(state.group);
+                            self.env.retire(&state.lane, "mutate", state.key, false);
                             return Step::Done;
                         }
                     }
@@ -391,31 +351,19 @@ impl LookupOp for MutateOp<'_> {
         };
         if next == NULL_INDEX {
             self.terminal(state.key, state.delta);
-            if self.trace.enabled() {
-                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                self.trace.retire(now, "mutate", state.key, hop, false);
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "mutate", state.key, false);
             return Step::Done;
         }
         let ptr = self.ht.node_ptr(next);
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
+        let t = self.env.hop(&mut state.lane, state.key, slab_of_index(next), ptr);
         if t.fresh {
             self.cfg.hint.issue(ptr);
         }
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "mutate", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "mutate", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "mutate", state.key, true);
             return Step::Failed;
         }
-        self.charge_residual(state.key, state.hop, state.slab, t.ready_at);
+        self.charge_residual(state.key, &state.lane);
         state.ptr = ptr;
         state.at_header = false;
         Step::Continue
@@ -430,11 +378,12 @@ impl LookupOp for MutateOp<'_> {
         stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
         stats.log_bytes += core::mem::take(&mut self.log_bytes);
         stats.log_stalls += core::mem::take(&mut self.log_stalls);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Result of one mutation run.
@@ -472,12 +421,12 @@ pub fn mutate(
 ) -> MutateOutput {
     let mut op = MutateOp::new(ht, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &rel.tuples, cfg.params);
     let seconds = timer.seconds();
-    let trace = op.take_tracer();
+    let trace = env::take_tracer(&mut op);
     MutateOutput {
         applied: op.applied,
         created: op.created,
@@ -503,7 +452,7 @@ pub fn mutate_mt_rt(
     let run = execute(&rel.tuples, technique, cfg.params, &rt, |_tid| {
         let mut op = MutateOp::new(ht, cfg);
         if cfg.trace {
-            op.set_tracer(Tracer::on());
+            env::set_tracer(&mut op, Tracer::on());
         }
         op
     });
@@ -515,7 +464,7 @@ pub fn mutate_mt_rt(
         out.merged += op.merged;
         out.deleted += op.deleted;
         out.wal.extend(op.drain_wal());
-        out.trace.merge(op.take_tracer());
+        out.trace.merge(env::take_tracer(&mut op));
     }
     out
 }

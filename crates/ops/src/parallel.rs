@@ -11,10 +11,9 @@
 //! paper's static behaviour back (that is also the baseline every
 //! morsel-vs-static bench compares against).
 //!
-//! Every `*_mt(.., threads)` driver keeps its original signature and
-//! delegates to a `*_mt_rt(.., &MorselConfig)` variant that exposes the
-//! full runtime configuration and returns per-thread observability in
-//! [`MtOutput::report`]. Throughput is `|S| / wall_time` over the whole
+//! Every `*_mt_rt(.., &MorselConfig)` driver takes the full runtime
+//! configuration ([`MorselConfig::with_threads`] for a plain thread count)
+//! and returns per-thread observability in [`MtOutput::report`]. Throughput is `|S| / wall_time` over the whole
 //! fan-out, the paper's `|S|/probeExecutionTime`.
 
 use amac::engine::{EngineStats, Technique};
@@ -62,17 +61,6 @@ impl MtOutput {
 }
 
 /// Multi-threaded hash-table probe (the paper's scalability workload).
-pub fn probe_mt(
-    ht: &HashTable,
-    s: &Relation,
-    technique: Technique,
-    cfg: &crate::join::ProbeConfig,
-    threads: usize,
-) -> MtOutput {
-    probe_mt_rt(ht, s, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`probe_mt`] with full runtime control.
 ///
 /// Materialization is disabled (morsel order is not input order); the
 /// morsel prologue issues temporal (`T0`) prefetches for the first few
@@ -106,20 +94,8 @@ pub fn probe_mt_rt(
     out
 }
 
-/// Multi-threaded hash-table build.
-pub fn build_mt(
-    ht: &HashTable,
-    r: &Relation,
-    technique: Technique,
-    cfg: &crate::join::BuildConfig,
-    threads: usize,
-) -> MtOutput {
-    build_mt_rt(ht, r, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`build_mt`] with full runtime control (`auto_tune` is ignored: the
-/// tuning probe executes real lookups, which would insert the sample
-/// twice).
+/// Multi-threaded hash-table build (`auto_tune` is ignored: the tuning
+/// probe executes real lookups, which would insert the sample twice).
 pub fn build_mt_rt(
     ht: &HashTable,
     r: &Relation,
@@ -129,24 +105,13 @@ pub fn build_mt_rt(
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&r.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::join::BuildOp::with_tier(ht, cfg.tier)
+        crate::join::BuildOp::new(ht, cfg.tier)
     });
     MtOutput::from_report(run.report)
 }
 
-/// Multi-threaded group-by.
-pub fn groupby_mt(
-    table: &AggTable,
-    input: &Relation,
-    technique: Technique,
-    cfg: &crate::groupby::GroupByConfig,
-    threads: usize,
-) -> MtOutput {
-    groupby_mt_rt(table, input, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`groupby_mt`] with full runtime control (`auto_tune` ignored — the
-/// tuning probe would aggregate the sample twice).
+/// Multi-threaded group-by (`auto_tune` ignored — the tuning probe would
+/// aggregate the sample twice).
 pub fn groupby_mt_rt(
     table: &AggTable,
     input: &Relation,
@@ -281,17 +246,6 @@ pub fn probe_probe_mt_rt(
 }
 
 /// Multi-threaded skip-list search.
-pub fn skip_search_mt(
-    list: &SkipList,
-    probe_rel: &Relation,
-    technique: Technique,
-    cfg: &crate::skiplist::SkipConfig,
-    threads: usize,
-) -> MtOutput {
-    skip_search_mt_rt(list, probe_rel, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`skip_search_mt`] with full runtime control.
 pub fn skip_search_mt_rt(
     list: &SkipList,
     probe_rel: &Relation,
@@ -310,19 +264,8 @@ pub fn skip_search_mt_rt(
     out
 }
 
-/// Multi-threaded skip-list insert.
-pub fn skip_insert_mt(
-    list: &SkipList,
-    input: &Relation,
-    technique: Technique,
-    cfg: &crate::skiplist::SkipConfig,
-    threads: usize,
-) -> MtOutput {
-    skip_insert_mt_rt(list, input, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`skip_insert_mt`] with full runtime control (`auto_tune` ignored — the
-/// tuning probe would insert the sample twice).
+/// Multi-threaded skip-list insert (`auto_tune` ignored — the tuning probe
+/// would insert the sample twice).
 pub fn skip_insert_mt_rt(
     list: &SkipList,
     input: &Relation,
@@ -339,19 +282,8 @@ pub fn skip_insert_mt_rt(
     out
 }
 
-/// Multi-threaded B+-tree search.
-pub fn btree_search_mt(
-    tree: &amac_btree::BPlusTree,
-    probes: &Relation,
-    technique: Technique,
-    cfg: &crate::btree::BTreeConfig,
-    threads: usize,
-) -> MtOutput {
-    btree_search_mt_rt(tree, probes, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`btree_search_mt`] with full runtime control. Materialization is
-/// disabled, as for [`probe_mt_rt`].
+/// Multi-threaded B+-tree search. Materialization is disabled, as for
+/// [`probe_mt_rt`].
 pub fn btree_search_mt_rt(
     tree: &amac_btree::BPlusTree,
     probes: &Relation,
@@ -535,8 +467,9 @@ mod tests {
             &ProbeConfig { materialize: false, ..Default::default() },
         );
         for threads in [1, 2, 4] {
+            let rt = MorselConfig::with_threads(threads);
             for t in [Technique::Baseline, Technique::Amac] {
-                let mt = probe_mt(&ht, &s, t, &ProbeConfig::default(), threads);
+                let mt = probe_mt_rt(&ht, &s, t, &ProbeConfig::default(), &rt);
                 assert_eq!(mt.matches, st.matches, "{t}/{threads}t");
                 assert_eq!(mt.checksum, st.checksum, "{t}/{threads}t");
                 assert!(mt.throughput > 0.0);
@@ -567,9 +500,10 @@ mod tests {
     #[test]
     fn build_mt_all_techniques_complete_table() {
         let r = Relation::zipf(30_000, 5_000, 0.7, 83);
+        let rt = MorselConfig::with_threads(4);
         for t in Technique::ALL {
             let ht = HashTable::for_tuples(r.len());
-            let out = build_mt(&ht, &r, t, &Default::default(), 4);
+            let out = build_mt_rt(&ht, &r, t, &Default::default(), &rt);
             assert_eq!(out.stats.lookups, r.len() as u64, "{t}");
             assert_eq!(ht.len(), r.len(), "{t}");
         }
@@ -587,9 +521,10 @@ mod tests {
                 .and_modify(|a| a.update(t.payload))
                 .or_insert_with(|| AggValues::first(t.payload));
         }
+        let rt = MorselConfig::with_threads(4);
         for tech in Technique::ALL {
             let table = AggTable::for_groups(input.groups);
-            let out = groupby_mt(&table, &input.relation, tech, &Default::default(), 4);
+            let out = groupby_mt_rt(&table, &input.relation, tech, &Default::default(), &rt);
             assert_eq!(out.stats.lookups, input.len() as u64, "{tech}");
             assert_eq!(out.matches, input.len() as u64, "{tech}");
             assert_eq!(table.group_count(), model.len(), "{tech}");
@@ -602,9 +537,10 @@ mod tests {
     #[test]
     fn skip_insert_mt_no_lost_keys() {
         let rel = Relation::sparse_unique(20_000, 87);
+        let rt = MorselConfig::with_threads(4);
         for t in [Technique::Baseline, Technique::Amac] {
             let list = SkipList::new();
-            let out = skip_insert_mt(&list, &rel, t, &Default::default(), 4);
+            let out = skip_insert_mt_rt(&list, &rel, t, &Default::default(), &rt);
             assert_eq!(out.matches, 20_000, "{t}: every key inserted");
             assert_eq!(list.len(), 20_000, "{t}");
             let items = list.items();
@@ -623,7 +559,9 @@ mod tests {
             Technique::Amac,
             &Default::default(),
         );
-        let mt = skip_search_mt(&list, &rel.shuffled(94), Technique::Amac, &Default::default(), 4);
+        let rt = MorselConfig::with_threads(4);
+        let mt =
+            skip_search_mt_rt(&list, &rel.shuffled(94), Technique::Amac, &Default::default(), &rt);
         assert_eq!(mt.matches, 10_000);
         assert_eq!(mt.checksum, st.checksum);
     }
@@ -634,7 +572,8 @@ mod tests {
         let tree = amac_btree::BPlusTree::from_sorted(&pairs);
         let probes = Relation::from_tuples((0..30_000u64).map(|i| Tuple::new(i, 0)).collect());
         let st = crate::btree::btree_search(&tree, &probes, Technique::Amac, &Default::default());
-        let mt = btree_search_mt(&tree, &probes, Technique::Amac, &Default::default(), 4);
+        let rt = MorselConfig::with_threads(4);
+        let mt = btree_search_mt_rt(&tree, &probes, Technique::Amac, &Default::default(), &rt);
         assert_eq!(mt.matches, st.found);
         assert_eq!(mt.checksum, st.checksum);
     }
@@ -785,7 +724,8 @@ mod tests {
         let r = Relation::dense_unique(8, 89);
         let s = Relation::fk_uniform(&r, 4, 90);
         let ht = HashTable::build_serial(&r);
-        let mt = probe_mt(&ht, &s, Technique::Amac, &ProbeConfig::default(), 16);
+        let rt = MorselConfig::with_threads(16);
+        let mt = probe_mt_rt(&ht, &s, Technique::Amac, &ProbeConfig::default(), &rt);
         assert_eq!(mt.matches, 4);
     }
 }

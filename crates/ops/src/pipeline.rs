@@ -49,17 +49,17 @@
 //! assert_eq!(out.intermediate_bytes, 0);       // nothing materialized
 //! ```
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
+use amac::engine::amu::AddrClass;
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
 };
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Env, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, AggTable, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec};
+use amac_tier::{FaultPlan, Lane, MemEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{FilterSpec, Relation, Tuple};
 
@@ -119,15 +119,8 @@ pub struct ProbePipeState {
     ptr: *const Bucket,
     /// SWAR probe word of the key's fingerprint.
     probe: u32,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// Chain hop index for schedule-invariant fault tokens.
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), for traced stall attribution.
-    slab: u32,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
+    /// The lookup's AMU lane (pending load, hop, slab, commit group).
+    lane: Lane,
 }
 
 impl Default for ProbePipeState {
@@ -137,10 +130,7 @@ impl Default for ProbePipeState {
             payload: 0,
             ptr: core::ptr::null(),
             probe: 0,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
-            group: 0,
+            lane: Lane::default(),
         }
     }
 }
@@ -154,75 +144,31 @@ pub struct ProbeStage<'a> {
     matches: u64,
     nodes_visited: u64,
     tag_rejects: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
+    /// Memory environment every load routes through.
+    env: MemEnv,
     /// This stage ends its chain: an emitted tuple leaves the window, so
     /// the stage records the retirement itself instead of deferring to a
     /// downstream operator.
     terminal: bool,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
 }
 
 impl<'a> ProbeStage<'a> {
-    /// Probe stage against `ht`; the GP/SPP stage budget is derived from
-    /// the table's occupancy as for
+    /// Probe stage against `ht` under the config's prefetch hint, tier,
+    /// fault plan (this stage's chain loads; see
+    /// [`ProbeConfig::fault`](crate::join::ProbeConfig::fault)) and AMU
+    /// coalescing knob. The GP/SPP stage budget is derived from the
+    /// table's occupancy as for
     /// [`ProbeConfig::n_stages`](crate::join::ProbeConfig::n_stages)` = 0`.
-    pub fn new(ht: &'a HashTable, hint: PrefetchHint) -> Self {
-        Self::with_tier(ht, hint, None)
-    }
-
-    /// [`new`](ProbeStage::new) with an optional memory-tier cost model.
-    pub fn with_tier(ht: &'a HashTable, hint: PrefetchHint, tier: Option<TierSpec>) -> Self {
-        Self::with_tier_fault(ht, hint, tier, None)
-    }
-
-    /// [`with_tier`](ProbeStage::with_tier) plus an optional seeded fault
-    /// plan for this stage's chain loads (see
-    /// [`ProbeConfig::fault`](crate::join::ProbeConfig::fault) for the
-    /// clock-defaulting rule).
-    pub fn with_tier_fault(
-        ht: &'a HashTable,
-        hint: PrefetchHint,
-        tier: Option<TierSpec>,
-        fault: Option<FaultPlan>,
-    ) -> Self {
-        Self::with_amu(ht, hint, tier, fault, None)
-    }
-
-    /// [`with_tier_fault`](ProbeStage::with_tier_fault) plus the AMU
-    /// coalescing knob (see [`PipelineConfig::coalesce`]).
-    pub fn with_amu(
-        ht: &'a HashTable,
-        hint: PrefetchHint,
-        tier: Option<TierSpec>,
-        fault: Option<FaultPlan>,
-        coalesce: Option<usize>,
-    ) -> Self {
-        let clock = match (tier, fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
-        let policy = match (tier, fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
+    pub fn new(ht: &'a HashTable, cfg: &PipelineConfig) -> Self {
         ProbeStage {
             ht,
-            hint,
+            hint: cfg.hint,
             n_stages: crate::join::auto_chain_estimate(ht),
             matches: 0,
             nodes_visited: 0,
             tag_rejects: 0,
-            unit: LoadUnit::new(clock, coalesce),
-            policy,
+            env: MemEnv::new(cfg.tier, cfg.fault, cfg.coalesce),
             terminal: false,
-            trace: Tracer::off(),
         }
     }
 
@@ -256,34 +202,14 @@ impl PipelineOp for ProbeStage<'_> {
         state.payload = input.payload;
         state.ptr = ptr;
         state.probe = probe_word(tag_of(input.key));
-        state.hop = 0;
-        state.slab = 0;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
+        if self.env.begin(&mut state.lane, AddrClass::header_ptr(ptr)).fresh {
             self.hint.issue(ptr);
         }
-        state.ready_at = t.ready_at;
     }
 
     fn step(&mut self, state: &mut ProbePipeState) -> StageStep<Joined> {
-        // Trace hook before the wait so the recorded stall is exactly
-        // what the wait charges (see `ProbeOp::step`).
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-            self.trace.load(
-                self.unit.now(),
-                "probe",
-                state.key,
-                class,
-                tier,
-                crate::hop16(state.hop),
-                state.ready_at,
-            );
-        }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.env.load("probe", state.key, &state.lane);
+        self.env.wait(&state.lane);
         // SAFETY: probe runs in the table's read-only phase; `ptr` always
         // points at the header or an arena-owned chain node.
         let d = unsafe { (*state.ptr).data() };
@@ -296,11 +222,11 @@ impl PipelineOp for ProbeStage<'_> {
                     self.matches += 1;
                     // A non-terminal stage hands the tuple downstream —
                     // the terminal operator records the retirement.
-                    if self.terminal && self.trace.enabled() {
-                        let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                        self.trace.retire(now, "probe", state.key, hop, false);
+                    if self.terminal {
+                        self.env.retire(&state.lane, "probe", state.key, false);
+                    } else {
+                        self.env.release(&state.lane);
                     }
-                    self.unit.retire_lane(state.group);
                     return StageStep::Emit(Joined {
                         key: state.key,
                         probe_payload: state.payload,
@@ -313,32 +239,19 @@ impl PipelineOp for ProbeStage<'_> {
         }
         let next = d.next;
         if next == NULL_INDEX {
-            if self.trace.enabled() {
-                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, hop, false);
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "probe", state.key, false);
             return StageStep::Skip; // probe miss
         }
         let ptr = self.ht.node_ptr(next);
         state.ptr = ptr;
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
+        let t = self.env.hop(&mut state.lane, state.key, slab_of_index(next), ptr);
         if t.fresh {
             self.hint.issue(ptr);
         }
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "probe", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.env.retire(&state.lane, "probe", state.key, true);
             return StageStep::Failed;
         }
-        state.ready_at = t.ready_at;
         StageStep::Continue
     }
 
@@ -349,11 +262,12 @@ impl PipelineOp for ProbeStage<'_> {
     fn flush_observed(&mut self, stats: &mut EngineStats) {
         stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
         stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
-        self.unit.flush(stats);
+        self.env.flush(stats);
     }
 
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.env);
+    }
 }
 
 /// Group-by aggregation as a terminal pipeline operator: the existing
@@ -452,7 +366,7 @@ pub fn materializing_probe_op<'a>(
     cfg: &PipelineConfig,
 ) -> Fused<ProbeStage<'a>, RouteCollect> {
     Fused::new(
-        ProbeStage::with_amu(ht, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
+        ProbeStage::new(ht, cfg).terminal(),
         RouteCollect::new(FilterProject { filter: cfg.filter }),
     )
 }
@@ -476,7 +390,7 @@ pub fn fused_probe_groupby_op<'a>(
 ) -> FusedProbeGroupBy<'a> {
     Fused::new(
         Chain::new(
-            ProbeStage::with_amu(ht, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce),
+            ProbeStage::new(ht, cfg),
             groupby_stage(table, cfg.params, cfg.tier, cfg.coalesce),
             FilterProject { filter: cfg.filter },
         ),
@@ -495,8 +409,8 @@ pub fn fused_probe_probe_op<'a>(
 ) -> FusedProbeProbe<'a> {
     Fused::new(
         Chain::new(
-            ProbeStage::with_amu(ht1, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce),
-            ProbeStage::with_amu(ht2, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
+            ProbeStage::new(ht1, cfg),
+            ProbeStage::new(ht2, cfg).terminal(),
             FilterProject { filter: cfg.filter },
         ),
         CountChecksum::default(),
@@ -542,11 +456,11 @@ pub fn probe_then_groupby(
 ) -> PipelineOutput {
     let mut op = fused_probe_groupby_op(ht, table, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = env::take_tracer(&mut op);
     PipelineOutput {
         matched: op.pipe().up().matches(),
         aggregated: op.pipe().down().inner().tuples(),
@@ -576,11 +490,11 @@ pub fn probe_then_groupby_two_phase(
     // Phase 1: probe, materializing the filtered+projected join output.
     let mut op = materializing_probe_op(ht, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
-    let mut trace = op.take_tracer();
+    let mut trace = env::take_tracer(&mut op);
     let mid = Relation::from_tuples(op.into_sink().out);
     // Phase 2: aggregate the intermediate.
     let gb = crate::groupby::groupby(
@@ -621,11 +535,11 @@ pub fn probe_then_probe(
 ) -> PipelineOutput {
     let mut op = fused_probe_probe_op(ht1, ht2, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = env::take_tracer(&mut op);
     PipelineOutput {
         matched: op.pipe().up().matches(),
         aggregated: op.sink().matches,
@@ -651,21 +565,18 @@ pub fn probe_then_probe_two_phase(
     let timer = CycleTimer::start();
     let mut op = materializing_probe_op(ht1, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        env::set_tracer(&mut op, Tracer::on());
     }
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
-    let mut trace = op.take_tracer();
+    let mut trace = env::take_tracer(&mut op);
     let mid = Relation::from_tuples(op.into_sink().out);
-    let mut op2 = Fused::new(
-        ProbeStage::with_amu(ht2, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
-        CountChecksum::default(),
-    );
+    let mut op2 = Fused::new(ProbeStage::new(ht2, cfg).terminal(), CountChecksum::default());
     if cfg.trace {
-        op2.set_tracer(Tracer::on());
+        env::set_tracer(&mut op2, Tracer::on());
     }
     stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
-    trace.merge(op2.take_tracer());
+    trace.merge(env::take_tracer(&mut op2));
     PipelineOutput {
         matched,
         aggregated: op2.sink().matches,

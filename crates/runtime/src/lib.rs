@@ -52,7 +52,7 @@ pub(crate) mod testop;
 pub use dispatch::{Dispatcher, Scheduling};
 pub use session::AmacSession;
 
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, LookupOp, Technique, TuningParams};
 use amac_metrics::{JsonBuf, LatencyHistogram};
 use amac_trace::{TraceEvent, Tracer};
 use std::time::Instant;
@@ -361,12 +361,12 @@ where
                         rep.morsels += 1;
                         rep.tuples += morsel.len() as u64;
                         rep.steals += stolen as u64;
-                        if op.tracing() {
-                            op.trace(TraceEvent::morsel(
-                                op.sim_now(),
-                                tid as u16,
-                                morsel.len() as u64,
-                            ));
+                        if env::tracing(&mut op) {
+                            let now = env::sim_now(&mut op);
+                            env::record(
+                                &mut op,
+                                TraceEvent::morsel(now, tid as u16, morsel.len() as u64),
+                            );
                         }
                     }
                     if let Some(s) = session.as_mut() {
@@ -393,7 +393,7 @@ where
     for (mut op, rep, hist) in results.drain(..) {
         report.stats.merge(&rep.stats);
         report.morsel_ns.merge(&hist);
-        report.trace.merge(op.take_tracer());
+        report.trace.merge(env::take_tracer(&mut op));
         report.per_thread.push(rep);
         ops.push(op);
     }

@@ -16,7 +16,7 @@
 //! exactly like a plain probe slot, so whole-pipeline windows persist
 //! across the run too.
 
-use amac::engine::{EngineStats, LookupOp, Step};
+use amac::engine::{env, EngineStats, LookupOp, Step};
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
 /// one worker thread for the whole run).
@@ -102,7 +102,7 @@ impl<O: LookupOp> AmacSession<O> {
                     // Morsel boundaries are AMU commit points: the next
                     // feed's lanes must not coalesce against this one's
                     // in-flight loads.
-                    op.commit_point();
+                    env::commit(op);
                     op.flush_observed(stats);
                     return;
                 }
@@ -146,7 +146,7 @@ impl<O: LookupOp> AmacSession<O> {
                 self.k = 0;
             }
         }
-        op.commit_point();
+        env::commit(op);
         op.flush_observed(stats);
     }
 
@@ -197,10 +197,10 @@ impl<O: LookupOp> AmacSession<O> {
                 self.tick();
             } else {
                 // Drained slot: the rotation's status check still costs a
-                // tick of simulated time (see `LookupOp::sim_idle`) —
+                // tick of simulated time (see `env::sim_idle`) —
                 // matching `run_amac`'s drain loop exactly, so a morsel
                 // session and a one-shot run charge identical stalls.
-                op.sim_idle(1);
+                env::sim_idle(op, 1);
             }
             // Wrap at the activated high-water mark, not `M`: `run_amac`
             // clamps its window to the input count, so slots that never
@@ -345,12 +345,23 @@ mod tests {
 
     #[test]
     fn drained_window_idle_ticks_match_the_one_shot_executor() {
-        /// [`ChainOp`]-shaped op that also counts `sim_idle` ticks, so the
-        /// drain rotation's idle charging is observable.
+        /// [`ChainOp`]-shaped op whose env counts idle ticks (it never
+        /// runs a charged stage, so its clock reads exactly the idle time
+        /// passed to it), so the drain rotation's idle charging is
+        /// observable.
         struct IdleChain {
             chains: Vec<usize>,
             outputs: Vec<u64>,
-            idle: u64,
+            idle: Ticks,
+        }
+        struct Ticks(u64);
+        impl amac::engine::Env for Ticks {
+            fn now(&self) -> u64 {
+                self.0
+            }
+            fn advance_to(&mut self, now: u64) {
+                self.0 = self.0.max(now);
+            }
         }
         #[derive(Default)]
         struct S {
@@ -376,14 +387,14 @@ mod tests {
                     Step::Done
                 }
             }
-            fn sim_idle(&mut self, ticks: u64) {
-                self.idle += ticks;
+            fn envs(&mut self, mut f: impl FnMut(&mut dyn amac::engine::Env)) {
+                f(&mut self.idle);
             }
         }
         let mk = |chains: &[usize]| IdleChain {
             chains: chains.to_vec(),
             outputs: vec![0; chains.len()],
-            idle: 0,
+            idle: Ticks(0),
         };
 
         // Fewer inputs than M: `run_amac` clamps its window to 4 slots,
@@ -402,18 +413,18 @@ mod tests {
         session.feed(&mut op, &inputs, &mut stats);
         session.drain(&mut op, &mut stats);
         assert_eq!(stats, want, "counters diverged from the one-shot executor");
-        assert_eq!(op.idle, whole.idle, "drained-window idle ticks diverged");
+        assert_eq!(op.idle.0, whole.idle.0, "drained-window idle ticks diverged");
         assert_eq!(op.outputs, whole.outputs);
 
         // The reset on full drain keeps a *reused* session aligned too.
         let mut whole2 = mk(&chains);
         let want2 = run_amac(&mut whole2, &inputs, 10);
-        let before = op.idle;
+        let before = op.idle.0;
         let mut stats2 = EngineStats::default();
         session.feed(&mut op, &inputs, &mut stats2);
         session.drain(&mut op, &mut stats2);
         assert_eq!(stats2, want2, "second use of a drained session diverged");
-        assert_eq!(op.idle - before, whole2.idle, "idle ticks drifted on reuse");
+        assert_eq!(op.idle.0 - before, whole2.idle.0, "idle ticks drifted on reuse");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use amac::engine::mux::{Mux, Tagged};
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
 use amac_ops::groupby::GroupByOp;
@@ -15,7 +15,7 @@ use amac_ops::join::ProbeOp;
 use amac_ops::mutate::{MutateOp, ReplayOp};
 use amac_ops::pipeline::{fused_probe_groupby_op, probe_then_groupby_two_phase, PipelineConfig};
 use amac_runtime::AmacSession;
-use amac_tier::{TierSpec, WalRecord};
+use amac_tier::{MemEnv, TierSpec, WalRecord};
 use amac_trace::{TraceEvent, Tracer};
 use amac_workload::Tuple;
 
@@ -379,7 +379,9 @@ impl<'a> ServeSession<'a> {
                             // One rung down the tier ladder: fewer far
                             // loads, fewer fault opportunities (AllNear
                             // faults never — near loads are unchecked).
-                            let spec = cfg.tier.unwrap_or_else(|| TierSpec::headers_near(1));
+                            let spec = MemEnv::new(cfg.tier, cfg.fault, None)
+                                .spec()
+                                .expect("a fault plan always prices a tier");
                             match spec.policy.degrade() {
                                 Some(p) => {
                                     cfg.tier = Some(TierSpec { policy: p, ..spec });
@@ -431,7 +433,7 @@ impl<'a> ServeSession<'a> {
             }
         }
         if self.active.len() < self.cfg.max_active {
-            let deadline_at = opts.deadline_ticks.map(|d| self.mux.sim_now() + d);
+            let deadline_at = opts.deadline_ticks.map(|d| self.mux.now() + d);
             self.activate(Attempt {
                 qid,
                 req,
@@ -506,7 +508,7 @@ impl<'a> ServeSession<'a> {
         // through work, so charge the wait to the clock directly.
         if self.active.is_empty() && !self.waiting.is_empty() {
             if let Some(t) = self.waiting.iter().map(|w| w.not_before).min() {
-                self.mux.sim_advance_to(t);
+                env::sim_advance_to(&mut self.mux, t);
             }
         }
         self.check_deadlines();
@@ -645,7 +647,7 @@ impl<'a> ServeSession<'a> {
     }
 
     fn emit_shed(&mut self, qid: QueryId, req: &Request<'a>, tenant: u32, submitted: Instant) {
-        self.trace.record(TraceEvent::shed(self.mux.sim_now(), qid.0));
+        self.trace.record(TraceEvent::shed(self.mux.now(), qid.0));
         self.finished.push(QueryReport {
             qid,
             kind: kind_of(req),
@@ -660,7 +662,7 @@ impl<'a> ServeSession<'a> {
 
     fn emit_terminal(&mut self, seed: Attempt<'a>, outcome: QueryOutcome) {
         self.settle_breaker(seed.tenant, outcome, seed.degraded);
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         self.trace.record(TraceEvent::query(now, seed.qid.0, now, outcome.label()));
         self.finished.push(QueryReport {
             qid: seed.qid,
@@ -721,7 +723,7 @@ impl<'a> ServeSession<'a> {
         };
         if self.cfg.flight_recorder > 0 {
             let t = tenant.min(u32::from(u16::MAX)) as u16;
-            op.set_tracer(Tracer::ring(self.cfg.flight_recorder).with_tenant(t));
+            env::set_tracer(&mut op, Tracer::ring(self.cfg.flight_recorder).with_tenant(t));
         }
         let lane = self.mux.add(op);
         self.active.push(Active {
@@ -741,7 +743,7 @@ impl<'a> ServeSession<'a> {
             spent,
             degraded,
             recovered,
-            born_at: self.mux.sim_now(),
+            born_at: self.mux.now(),
         });
     }
 
@@ -749,7 +751,7 @@ impl<'a> ServeSession<'a> {
     /// in-flight lookups still retire cooperatively before the report is
     /// emitted, so the ledger stays exact.
     fn check_deadlines(&mut self) {
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         for i in 0..self.active.len() {
             let a = &self.active[i];
             if matches!(a.aborting, Some(Aborting::Final(_))) {
@@ -764,10 +766,7 @@ impl<'a> ServeSession<'a> {
             // The deadline instant is the ring's final entry: the
             // cancelled lane's steps short-circuit inside the mux, so the
             // inner op records nothing after this.
-            let op = self.mux.lane_mut(lane);
-            if op.tracing() {
-                op.trace(TraceEvent::deadline(now, qid));
-            }
+            env::record(self.mux.lane_mut(lane), TraceEvent::deadline(now, qid));
             self.trace.record(TraceEvent::deadline(now, qid));
             self.active[i].aborting = Some(Aborting::Final(QueryOutcome::DeadlineExceeded));
         }
@@ -778,7 +777,7 @@ impl<'a> ServeSession<'a> {
     /// the backoff itself reports `DeadlineExceeded` without re-entering
     /// the window.
     fn promote_waiting(&mut self) {
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         let mut i = 0;
         while i < self.waiting.len() {
             if self.active.len() >= self.cfg.max_active {
@@ -846,7 +845,7 @@ impl<'a> ServeSession<'a> {
             let (mut op, led) = self.mux.remove(a.lane);
             // Harvest the attempt's flight ring (disabled unless
             // `flight_recorder` is on); only failing outcomes keep it.
-            let flight = op.take_tracer();
+            let flight = env::take_tracer(&mut op);
             // Mutation lanes surrender their WAL records whatever the
             // outcome: an aborted attempt's applied prefix is already in
             // the table, so it must be in the log too or replay diverges.
@@ -874,12 +873,12 @@ impl<'a> ServeSession<'a> {
                                 spent: stats,
                                 submitted: a.submitted,
                             },
-                            not_before: self.mux.sim_now() + wait,
+                            not_before: self.mux.now() + wait,
                         });
                     }
                     Aborting::Final(outcome) => {
                         self.settle_breaker(a.tenant, outcome, a.degraded);
-                        let now = self.mux.sim_now();
+                        let now = self.mux.now();
                         self.trace.record(TraceEvent::query(
                             a.born_at,
                             a.qid.0,
@@ -911,7 +910,7 @@ impl<'a> ServeSession<'a> {
                 let outcome =
                     if a.recovered { QueryOutcome::Recovered } else { QueryOutcome::Completed };
                 self.settle_breaker(a.tenant, QueryOutcome::Completed, a.degraded);
-                let now = self.mux.sim_now();
+                let now = self.mux.now();
                 self.trace.record(TraceEvent::query(a.born_at, a.qid.0, now, outcome.label()));
                 let latency_ns = a.submitted.elapsed().as_nanos() as u64;
                 self.latency.record(latency_ns);
@@ -962,7 +961,7 @@ impl<'a> ServeSession<'a> {
         while self.active.len() < self.cfg.max_active {
             match self.pending.pop_front() {
                 Some(p) => {
-                    let deadline_at = p.deadline_ticks.map(|d| self.mux.sim_now() + d);
+                    let deadline_at = p.deadline_ticks.map(|d| self.mux.now() + d);
                     self.activate(Attempt {
                         qid: p.qid,
                         req: p.req,
@@ -1019,7 +1018,7 @@ impl<'a> ServeSession<'a> {
     /// The session's simulated clock (the Mux's shared now) — what crash
     /// injection polls against a [`amac_tier::CrashPlan`] tick.
     pub fn sim_now(&self) -> u64 {
-        self.mux.sim_now()
+        self.mux.now()
     }
 
     /// Install a session-level tracer. It records the serving-layer
@@ -1096,10 +1095,11 @@ impl<'a> ServeSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amac::engine::Technique;
+    use amac::engine::{LookupOp, Technique};
     use amac_hashtable::AggTable;
     use amac_ops::groupby::GroupByConfig;
     use amac_ops::join::ProbeConfig;
+    use amac_ops::mutate::MutateConfig;
     use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
     use amac_tier::FaultPlan;
     use amac_workload::{FilterSpec, Relation};
@@ -1122,6 +1122,59 @@ mod tests {
             }
         }
         (r, ht)
+    }
+
+    /// Drive `op` through two batches and every env helper; the result
+    /// fingerprints which envs the op exposes and what reached them.
+    fn env_fingerprint<O: LookupOp<Input = Tuple>>(
+        mut op: O,
+        inputs: &[Tuple],
+    ) -> (EngineStats, u64, EngineStats, u64) {
+        let (first, second) = inputs.split_at(inputs.len() / 2);
+        let params = TuningParams::default();
+        env::set_tracer(&mut op, Tracer::ring(64).with_tenant(2));
+        let a = run(Technique::Amac, &mut op, first, params);
+        env::sim_idle(&mut op, 3);
+        let now = env::sim_now(&mut op);
+        env::sim_advance_to(&mut op, now + 10);
+        env::record(&mut op, TraceEvent::deadline(now, 9));
+        // A commit between batches changes coalescing groups.
+        env::commit(&mut op);
+        let b = run(Technique::Amac, &mut op, second, params);
+        assert!(env::tracing(&mut op));
+        let trace = env::take_tracer(&mut op);
+        assert!(!trace.is_empty() && !env::tracing(&mut op));
+        (a, now, b, trace.canonical_hash())
+    }
+
+    #[test]
+    fn tenant_op_reaches_exactly_its_inner_ops_envs() {
+        let (dim, ht) = chained_catalog(2048);
+        let inputs = Relation::fk_uniform(&dim, 1_000, 0x7E).tuples;
+        let (tier, coalesce) = (Some(TierSpec::headers_near(8)), Some(4));
+        let pcfg = ProbeConfig { tier, coalesce, materialize: false, ..Default::default() };
+        let probe = env_fingerprint(ProbeOp::new(&ht, &pcfg, 0), &inputs);
+        assert!(probe.1 > 3, "the tiered run moved the clock");
+        assert_eq!(env_fingerprint(TenantOp::Probe(ProbeOp::new(&ht, &pcfg, 0)), &inputs), probe);
+        let gcfg = GroupByConfig { tier, coalesce, ..Default::default() };
+        let (t1, t2) = (AggTable::for_groups(256), AggTable::for_groups(256));
+        assert_eq!(
+            env_fingerprint(TenantOp::GroupBy(GroupByOp::new(&t1, &gcfg)), &inputs),
+            env_fingerprint(GroupByOp::new(&t2, &gcfg), &inputs)
+        );
+        let fcfg = PipelineConfig { tier, coalesce, ..Default::default() };
+        let (t1, t2) = (AggTable::for_groups(256), AggTable::for_groups(256));
+        let fused = TenantOp::Pipeline(Box::new(fused_probe_groupby_op(&ht, &t1, &fcfg)));
+        assert_eq!(
+            env_fingerprint(fused, &inputs),
+            env_fingerprint(fused_probe_groupby_op(&ht, &t2, &fcfg), &inputs)
+        );
+        let ucfg = MutateConfig { tier, ..Default::default() };
+        let ((_, h1), (_, h2)) = (chained_catalog(2048), chained_catalog(2048));
+        assert_eq!(
+            env_fingerprint(TenantOp::Upsert(MutateOp::new(&h1, &ucfg)), &inputs),
+            env_fingerprint(MutateOp::new(&h2, &ucfg), &inputs)
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!    costs **one tick**, charged to `sim_cycles`;
 //! 2. every executor visit to an idle window slot (a GP/SPP no-op check,
 //!    a drained AMAC slot) costs **one tick** too, forwarded by the
-//!    executors via `LookupOp::sim_idle` — charged to elapsed time only,
+//!    executors via `amac::engine::env::sim_idle` — charged to elapsed time only,
 //!    never to `sim_cycles` (so `sim_cycles` is identical across thread
 //!    counts and schedulings);
 //! 3. a prefetch records `ready_at = now + latency(tier)`; the step that
@@ -98,10 +98,12 @@
 #![warn(missing_docs)]
 
 mod crash;
+mod env;
 mod fault;
 mod wal;
 
 pub use crash::CrashPlan;
+pub use env::{Lane, MemEnv};
 pub use fault::{fault_token, FaultPlan, LoadOutcome};
 pub use wal::{Wal, WalRecord};
 
@@ -336,11 +338,11 @@ impl TierSpec {
 
 /// The per-op simulated clock (see the crate docs' tick rules).
 ///
-/// One clock per op instance, embedded behind `Option` so untiered runs
-/// pay a predictable-branch test and nothing else. Composed ops keep
-/// their member clocks in lock-step through the
-/// `LookupOp::{sim_now, sim_advance_to}` protocol (`Mux` lanes, fused
-/// `Chain` stages), which `advance_to` implements: the clock is monotone,
+/// One clock per op instance, embedded behind `Option` in the op's
+/// [`MemEnv`] so untiered runs pay a predictable-branch test and nothing
+/// else. Composed ops keep their member clocks in lock-step through the
+/// `amac::engine::env::{sim_now, sim_advance_to}` protocol (`Mux` lanes,
+/// fused `Chain` stages), which `advance_to` implements: the clock is monotone,
 /// so lifting it to a neighbour's `now` is exactly "that much wall time
 /// passed while others executed".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,20 +509,12 @@ impl SimClock {
     /// stay comparable.
     #[inline]
     pub fn flush(&mut self, stats: &mut EngineStats) {
-        let (work, stalls) = self.flush_ticks();
-        stats.sim_cycles += work;
-        stats.sim_stalls += stalls;
+        stats.sim_cycles += core::mem::take(&mut self.work);
+        stats.sim_stalls += core::mem::take(&mut self.stalls);
         stats.load_faults += core::mem::take(&mut self.faults);
         let remote = core::mem::take(&mut self.remote);
         stats.remote_loads += remote;
         stats.remote_bytes += remote * REMOTE_LINE_BYTES;
-    }
-
-    /// [`flush`](SimClock::flush) as a raw `(work, stalls)` pair, for
-    /// callers that report outside `EngineStats` (the coroutine ring).
-    #[inline]
-    pub fn flush_ticks(&mut self) -> (u64, u64) {
-        (core::mem::take(&mut self.work), core::mem::take(&mut self.stalls))
     }
 }
 
@@ -547,11 +541,6 @@ impl amac::engine::amu::LoadBackend for SimClock {
     #[inline(always)]
     fn stage(&mut self) {
         SimClock::stage(self);
-    }
-
-    #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        SimClock::idle(self, ticks);
     }
 
     #[inline(always)]
@@ -773,7 +762,7 @@ mod tests {
         assert!(!plain.resolve_dup(AddrClass::Slab { slab: 0, line: 0 }, fault_token(9, 1)));
         // The trait's clock surface delegates to the inherent methods.
         LoadBackend::stage(&mut c);
-        LoadBackend::idle(&mut c, 3);
+        LoadBackend::advance_to(&mut c, 1 + 3);
         assert_eq!(LoadBackend::now(&c), 4);
         LoadBackend::advance_to(&mut c, 10);
         LoadBackend::wait_until(&mut c, 15);
@@ -828,5 +817,77 @@ mod tests {
         assert_eq!(s.sim_cycles, 1);
         assert_eq!(s.sim_stalls, 31);
         assert!((s.stall_share() - 31.0 / 32.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mem_env_derives_one_spec_for_clock_policy_and_faults() {
+        use amac::engine::amu::AddrClass;
+        use amac::engine::Env;
+        use amac_trace::{EventKind, TierKind, Tracer};
+
+        let far8 = TierSpec::headers_near(8);
+        let fail_all = FaultPlan::fail_only(5, 1000);
+        // (tier, fault) -> the spec the env must charge: a fault plan
+        // without a tier assumes headers_near(1).
+        let cases = [
+            (None, None, None),
+            (Some(far8), None, Some(far8)),
+            (None, Some(fail_all), Some(TierSpec::headers_near(1))),
+            (Some(far8), Some(fail_all), Some(far8)),
+        ];
+        let node = [0u64; 8];
+        for (tier, fault, want) in cases {
+            let what = format!("tier {tier:?}, fault {fault:?}");
+            let mut env = MemEnv::new(tier, fault, None);
+            assert_eq!(env.spec(), want, "{what}");
+            *env.tracer().expect("a MemEnv always carries a tracer") = Tracer::on();
+            let lat =
+                |t: fn(&TierPolicy) -> Tier| want.map_or(0, |s| s.model.latency(t(&s.policy)));
+
+            // Header: one stage, then a load priced at the policy's
+            // header tier and classified to that same tier.
+            let mut lane = Lane::default();
+            let t = env.begin(&mut lane, AddrClass::header_ptr(node.as_ptr()));
+            let start = if want.is_some() { 1 } else { 0 };
+            assert_eq!(t.ready_at, start + lat(|p| p.header_tier()), "{what}");
+            env.load("test", 1, &lane);
+            env.wait(&lane);
+
+            // Chain hop into slab 0: priced at the slab tier; the fault
+            // plan poisons it exactly when one is configured.
+            let now = env.now();
+            let t = env.hop(&mut lane, 1, 0, node.as_ptr());
+            assert_eq!(t.failed, fault.is_some(), "{what}");
+            assert_eq!(t.ready_at, now + lat(|p| p.slab_tier(0)), "{what}");
+            if !t.failed {
+                env.load("test", 1, &lane);
+                env.wait(&lane);
+            }
+            env.retire(&lane, "test", 1, t.failed);
+
+            // The trace classifies every waited load to the tier the
+            // clock charged, and its stalls sum to what the clock counted.
+            let trace = env.tracer().unwrap().take();
+            let tiers: Vec<_> = trace
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::Load { tier, .. } => Some(tier),
+                    _ => None,
+                })
+                .collect();
+            let mut want_tiers = match want {
+                None => vec![TierKind::Untiered; 2],
+                Some(s) => {
+                    vec![trace_tier(s.policy.header_tier()), trace_tier(s.policy.slab_tier(0))]
+                }
+            };
+            want_tiers.truncate(if t.failed { 1 } else { 2 });
+            assert_eq!(tiers, want_tiers, "{what}");
+            let mut stats = EngineStats::default();
+            env.flush(&mut stats);
+            assert!(trace.conserves(stats.sim_stalls, 1), "{what}");
+            assert_eq!(stats.load_faults, fault.is_some() as u64, "{what}");
+            assert_eq!(trace.faults(), stats.load_faults, "{what}");
+        }
     }
 }

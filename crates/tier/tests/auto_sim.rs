@@ -5,7 +5,7 @@
 //! `ProbeOp` lives in `crates/ops/tests/tier_sim.rs`.)
 
 use amac::engine::{
-    EngineStats, LookupOp, Step, TuningParams, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT,
+    EngineStats, Env, LookupOp, Step, TuningParams, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT,
 };
 use amac_tier::{SimClock, Tier, TierSpec};
 
@@ -57,16 +57,8 @@ impl LookupOp for FarChainOp {
         self.clock.flush(stats);
     }
 
-    fn sim_idle(&mut self, ticks: u64) {
-        self.clock.idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.clock.advance_to(now);
+    fn envs(&mut self, mut f: impl FnMut(&mut dyn Env)) {
+        f(&mut self.clock);
     }
 }
 
