@@ -95,7 +95,6 @@
 //! ```
 
 use super::EngineStats;
-use std::collections::HashMap;
 
 /// The address class of a load request — which memory region the line
 /// belongs to, in the vocabulary the tier cost model prices
@@ -453,10 +452,9 @@ struct GroupLines {
     id: u32,
     /// Lanes born into this group that have not retired.
     lanes: u32,
-    /// `line -> ready_at` of the request that actually issued. Only ever
-    /// probed by key (never iterated), so the map's internal order cannot
-    /// leak into any counter.
-    lines: HashMap<u64, u64>,
+    /// `(line, ready_at)` of each request that actually issued. A group
+    /// holds about one line per lane, so a linear scan beats hashing.
+    lines: Vec<(u64, u64)>,
 }
 
 /// A batching unit that dedups duplicate cache-line requests across the
@@ -479,6 +477,9 @@ pub struct CoalescingUnit<B> {
     /// Live groups (a handful at a time: a group dies when its last lane
     /// retires, and executors keep at most `M` lanes in flight).
     groups: Vec<GroupLines>,
+    /// Emptied line lists of dead groups, reused by new ones so a group
+    /// birth does not allocate.
+    spare: Vec<Vec<(u64, u64)>>,
     issued: u64,
     coalesced: u64,
     max_ready: u64,
@@ -494,6 +495,7 @@ impl<B: LoadBackend> CoalescingUnit<B> {
             births: 0,
             cur: 0,
             groups: Vec::new(),
+            spare: Vec::new(),
             issued: 0,
             coalesced: 0,
             max_ready: 0,
@@ -514,7 +516,20 @@ impl<B: LoadBackend> CoalescingUnit<B> {
     fn advance_group(&mut self) {
         self.cur = self.cur.wrapping_add(1);
         self.births = 0;
-        self.groups.retain(|g| g.lanes > 0);
+        self.sweep(|g| g.lanes == 0);
+    }
+
+    /// Drop the groups matching `dead`, keeping their line lists for reuse.
+    fn sweep(&mut self, dead: impl Fn(&GroupLines) -> bool) {
+        let spare = &mut self.spare;
+        self.groups.retain_mut(|g| {
+            let keep = !dead(g);
+            if !keep {
+                g.lines.clear();
+                spare.push(core::mem::take(&mut g.lines));
+            }
+            keep
+        });
     }
 }
 
@@ -527,7 +542,10 @@ impl<B: LoadBackend> MemUnit for CoalescingUnit<B> {
         let id = self.cur;
         match self.groups.iter_mut().find(|g| g.id == id) {
             Some(g) => g.lanes += 1,
-            None => self.groups.push(GroupLines { id, lanes: 1, lines: HashMap::new() }),
+            None => {
+                let lines = self.spare.pop().unwrap_or_default();
+                self.groups.push(GroupLines { id, lanes: 1, lines });
+            }
         }
         id
     }
@@ -543,7 +561,7 @@ impl<B: LoadBackend> MemUnit for CoalescingUnit<B> {
         // window state) instead of group composition alone. Sealed
         // groups gain no new lanes, so theirs can go at zero.
         if g.lanes == 0 && group != open {
-            self.groups.retain(|g| g.id != group);
+            self.sweep(|g| g.id == group);
         }
     }
 
@@ -554,7 +572,7 @@ impl<B: LoadBackend> MemUnit for CoalescingUnit<B> {
             .iter()
             .position(|g| g.id == group)
             .expect("AMU protocol violation: issue for a group with no live lanes");
-        if let Some(&ready_at) = self.groups[idx].lines.get(&line) {
+        if let Some(&(_, ready_at)) = self.groups[idx].lines.iter().find(|&&(l, _)| l == line) {
             // Duplicate line within the commit group: ride the original
             // fill. The fault decision is still per-request (same
             // decision the scalar unit would have made), so results and
@@ -565,7 +583,7 @@ impl<B: LoadBackend> MemUnit for CoalescingUnit<B> {
         }
         self.issued += 1;
         let (ready_at, failed) = self.backend.resolve(class, token);
-        self.groups[idx].lines.insert(line, ready_at);
+        self.groups[idx].lines.push((line, ready_at));
         self.max_ready = self.max_ready.max(ready_at);
         Ticket { ready_at, failed, fresh: true }
     }

@@ -28,16 +28,23 @@
 //!
 //! Simulated far-memory time, fault injection, AMU load coalescing and
 //! tracing all live *behind* the ops, in one plug-in point: an op owns a
-//! memory environment ([`env::Env`]; the real one is `amac_tier::MemEnv`,
-//! which wraps the AMU [`amu::LoadUnit`] over an optional
-//! `amac_tier::SimClock` plus a tracer) and exposes it through
+//! memory environment ([`env::Env`]) and exposes it through
 //! [`LookupOp::envs`]. Executors never see clocks or tracers; they call
 //! the [`env`](mod@env) helpers at the few points where the window itself matters
 //! — [`env::sim_idle`] for a slot visit that ran no stage,
 //! [`env::commit`] at a batch boundary — and composition layers
 //! ([`pipeline::Chain`], [`mux::Mux`]) use [`env::sim_now`] /
-//! [`env::sim_advance_to`] to keep member clocks on one timeline. An op
-//! with no environment (the default) is untiered and untraced.
+//! [`env::sim_advance_to`] to keep member clocks on one timeline.
+//!
+//! The AMU-routed ops drive their env through the per-lookup
+//! [`LaneEnv`] protocol and take the env as a type parameter, so the
+//! choice is made at compile time. `amac_tier::MemEnv` wraps the AMU
+//! [`amu::LoadUnit`] over an optional `amac_tier::SimClock` plus a
+//! tracer. [`Native`] is what an op runs on when its config has no tier,
+//! fault plan or coalescing and tracing is off: no unit, no clock, a
+//! zero-sized lane, only an issued-load count, so the stage compiles to
+//! the bare pointer chase. An op that visits no env at all (the default
+//! [`LookupOp::envs`]) is likewise untiered and untraced.
 //!
 //! # Prefetch accounting convention
 //!
@@ -70,7 +77,7 @@ mod tune;
 
 pub use amac_exec::{run_amac, run_amac_modulo, run_amac_no_merge};
 pub use baseline::run_baseline;
-pub use env::Env;
+pub use env::{Env, LaneEnv, Native};
 pub use gp::run_gp;
 pub use spp::run_spp;
 pub use stats::EngineStats;

@@ -12,14 +12,16 @@
 //!    *and* the full [`EngineStats`] ledger are bit-identical with
 //!    tracing on or off.
 //!
-//! Coverage: all four executors, the coroutine ring, and the morsel
-//! runtime at 1/2/4 threads under every scheduling discipline.
+//! Coverage: all four executors, the coroutine ring, the morsel runtime
+//! at 1/2/4 threads under every scheduling discipline, and the traced
+//! multi-threaded probe and group-by drivers.
 
 use amac::engine::{env, EngineStats, Technique};
 use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
+use amac_ops::parallel::{groupby_mt_rt, probe_mt_rt};
 use amac_runtime::{execute, MorselConfig, Scheduling};
 use amac_tier::{FaultPlan, TierSpec};
 use amac_trace::Tracer;
@@ -237,6 +239,39 @@ fn morsel_runtime_trace_conserves_across_threads_and_schedulings() {
             );
         }
     }
+}
+
+#[test]
+fn mt_drivers_trace_every_worker_when_asked() {
+    // `trace: true` on the multi-threaded drivers installs a tracer on
+    // every worker op; the runtime merges them into `report.trace`.
+    let (ht, probes) = lab(4096, 16 * 1024, 256, 0x93);
+    let rt = MorselConfig {
+        threads: 2,
+        morsel_tuples: 1024,
+        scheduling: Scheduling::WorkSteal,
+        auto_tune: false,
+    };
+    let off = probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(false), &rt);
+    assert!(!off.report.trace.enabled(), "untraced run must carry a disabled tracer");
+    let on = probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(true), &rt);
+    let t = &on.report.trace;
+    assert_eq!(t.retires(), on.stats.lookups, "probe: one retirement per lookup");
+    assert!(on.stats.sim_stalls > 0, "tiered lab must stall");
+    assert!(t.conserves(on.stats.sim_stalls, on.stats.lookups), "probe: profile != sim_stalls");
+    assert_eq!((on.matches, on.checksum), (off.matches, off.checksum));
+
+    let table = AggTable::for_groups(256);
+    let cfg =
+        GroupByConfig { tier: Some(TierSpec::headers_near(4)), trace: true, ..Default::default() };
+    let g = groupby_mt_rt(&table, &probes, Technique::Amac, &cfg, &rt);
+    assert_eq!(g.report.trace.retires(), g.stats.lookups, "group-by: one retirement per lookup");
+    assert!(
+        g.report.trace.conserves(g.stats.sim_stalls, g.stats.lookups),
+        "group-by: profile {} != sim_stalls {}",
+        g.report.trace.stalls(),
+        g.stats.sim_stalls
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use crate::executor::{run_interleaved, run_interleaved_with_idle, yield_now, InterleaveStats};
 use crate::{prefetch_yield, prefetch_yield_wide};
 use amac::engine::amu::AddrClass;
-use amac::engine::{EngineStats, Env};
+use amac::engine::{EngineStats, Env, LaneEnv};
 use amac_btree::{BPlusTree, InnerNode, LeafNode};
 use amac_hashtable::HashTable;
 use amac_metrics::timer::CycleTimer;

@@ -20,13 +20,13 @@
 //! collapse at z = 1.
 
 use amac::engine::amu::AddrClass;
-use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Env, LaneEnv, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::agg::{AggHandle, AggValues};
 use amac_hashtable::{AggBucket, AggTable};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{Lane, MemEnv, TierSpec};
+use amac_tier::{MemEnv, OpEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{GroupByInput, Relation, Tuple};
 
@@ -47,19 +47,30 @@ pub struct GroupByConfig {
     /// group nodes their arena slab's tier; blocked latch attempts count
     /// as executed stages, so multi-threaded simulated counters are only
     /// run-to-run deterministic single-threaded). See
-    /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier).
+    /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier). `Some`
+    /// runs the group-by on [`MemEnv`]; see [`GroupByConfig::native`].
     pub tier: Option<TierSpec>,
     /// AMU issue coalescing (see
     /// [`ProbeConfig::coalesce`](crate::join::ProbeConfig::coalesce)):
     /// skewed inputs hit the same hot group headers, so in-flight lanes
     /// of one commit group collapse onto shared line requests. `None`
-    /// (default) = scalar issue.
+    /// (default) = scalar issue. `Some` runs the group-by on [`MemEnv`].
     pub coalesce: Option<usize>,
     /// Record a structured trace into [`GroupByOutput::trace`] (see
     /// [`ProbeConfig::trace`](crate::join::ProbeConfig::trace)). A
     /// blocked latch attempt re-waits the same ticket but records no new
-    /// load: one load event per issued request.
+    /// load: one load event per issued request. `true` runs the
+    /// group-by on [`MemEnv`].
     pub trace: bool,
+}
+
+impl GroupByConfig {
+    /// Whether the group-by runs on [`Native`](amac::engine::Native):
+    /// `tier` and `coalesce` both `None` and `trace` off. Every group-by
+    /// driver picks its env with this rule.
+    pub fn native(&self) -> bool {
+        self.tier.is_none() && self.coalesce.is_none() && !self.trace
+    }
 }
 
 /// Result of one group-by run.
@@ -79,7 +90,7 @@ pub struct GroupByOutput {
 }
 
 /// Per-lookup state.
-pub struct GroupByState {
+pub struct GroupByState<E: LaneEnv = MemEnv> {
     key: u64,
     payload: u64,
     header: *const AggBucket,
@@ -89,11 +100,11 @@ pub struct GroupByState {
     /// at the first wait; a blocked latch attempt re-enters `step` and
     /// re-waits the same ticket without recording a duplicate event.
     pending: bool,
-    /// The lookup's AMU lane (pending load, hop, slab, commit group).
-    lane: Lane,
+    /// The lookup's AMU lane (zero-sized under `Native`).
+    lane: E::Lane,
 }
 
-impl Default for GroupByState {
+impl<E: LaneEnv> Default for GroupByState<E> {
     fn default() -> Self {
         GroupByState {
             key: 0,
@@ -102,30 +113,39 @@ impl Default for GroupByState {
             cur: core::ptr::null(),
             latched: false,
             pending: false,
-            lane: Lane::default(),
+            lane: E::Lane::default(),
         }
     }
 }
 
-/// The group-by lookup state machine.
-pub struct GroupByOp<'a> {
+/// The group-by lookup state machine, compiled against memory
+/// environment `E`.
+pub struct GroupByOp<'a, E = MemEnv> {
     handle: AggHandle<'a>,
     n_stages: usize,
     tuples: u64,
     nodes_visited: u64,
     /// Memory environment every load routes through.
-    env: MemEnv,
+    env: E,
 }
 
 impl<'a> GroupByOp<'a> {
-    /// Create the op, aggregating into `table`.
+    /// Create the op, aggregating into `table`, in a [`MemEnv`].
     pub fn new(table: &'a AggTable, cfg: &GroupByConfig) -> Self {
+        Self::new_in(table, cfg)
+    }
+}
+
+impl<'a, E: OpEnv> GroupByOp<'a, E> {
+    /// [`new`](GroupByOp::new) in env `E` (`Native` only when
+    /// [`GroupByConfig::native`]).
+    pub fn new_in(table: &'a AggTable, cfg: &GroupByConfig) -> Self {
         GroupByOp {
             handle: table.handle(),
             n_stages: if cfg.n_stages == 0 { 2 } else { cfg.n_stages },
             tuples: 0,
             nodes_visited: 0,
-            env: MemEnv::new(cfg.tier, None, cfg.coalesce),
+            env: E::from_knobs(cfg.tier, None, cfg.coalesce),
         }
     }
 
@@ -136,15 +156,15 @@ impl<'a> GroupByOp<'a> {
     }
 }
 
-impl LookupOp for GroupByOp<'_> {
+impl<E: LaneEnv> LookupOp for GroupByOp<'_, E> {
     type Input = Tuple;
-    type State = GroupByState;
+    type State = GroupByState<E>;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    fn start(&mut self, input: Tuple, state: &mut GroupByState) {
+    fn start(&mut self, input: Tuple, state: &mut GroupByState<E>) {
         let header = self.handle.table().bucket_addr(input.key);
         state.key = input.key;
         state.payload = input.payload;
@@ -159,7 +179,7 @@ impl LookupOp for GroupByOp<'_> {
         }
     }
 
-    fn step(&mut self, state: &mut GroupByState) -> Step {
+    fn step(&mut self, state: &mut GroupByState<E>) -> Step {
         // The latch word shares the (prefetched) header line; a blocked
         // attempt is executed work that read the line. Only the *first*
         // wait on a ticket records a load event (a blocked retry re-waits
@@ -240,20 +260,19 @@ pub fn groupby(
     technique: Technique,
     cfg: &GroupByConfig,
 ) -> GroupByOutput {
-    let mut op = GroupByOp::new(table, cfg);
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &input.tuples, cfg.params);
-    let trace = env::take_tracer(&mut op);
-    GroupByOutput {
-        tuples: op.tuples,
-        stats,
-        cycles: timer.cycles(),
-        seconds: timer.seconds(),
-        trace,
-    }
+    in_env!(cfg.native(), |E| {
+        let mut op = crate::traced(GroupByOp::<E>::new_in(table, cfg), cfg.trace);
+        let timer = CycleTimer::start();
+        let stats = run(technique, &mut op, &input.tuples, cfg.params);
+        let trace = env::take_tracer(&mut op);
+        GroupByOutput {
+            tuples: op.tuples,
+            stats,
+            cycles: timer.cycles(),
+            seconds: timer.seconds(),
+            trace,
+        }
+    })
 }
 
 /// Convenience: size a table for `input` and aggregate it.

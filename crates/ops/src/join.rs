@@ -1,13 +1,13 @@
 //! Hash join build and probe under all four techniques (§5.1).
 
 use amac::engine::amu::AddrClass;
-use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Env, LaneEnv, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, BuildHandle, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{FaultPlan, Lane, MemEnv, TierSpec};
+use amac_tier::{FaultPlan, MemEnv, OpEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -45,13 +45,15 @@ pub struct ProbeConfig {
     /// clock (stage 0 pays the header tier, every chain hop the tier of
     /// its arena slab) whose `sim_cycles`/`sim_stalls` land in
     /// [`EngineStats`]. `None` (default) = untiered, zero accounting.
-    /// Tiering never changes results — only the counters.
+    /// Tiering never changes results — only the counters. `Some` runs the
+    /// probe on [`MemEnv`]; see [`ProbeConfig::native`].
     pub tier: Option<TierSpec>,
     /// Seeded far-tier fault plan: chain loads from far slabs may fail
     /// (the lookup retires as [`Step::Failed`]) or latency-spike, per
     /// [`FaultPlan`]. Requires a far placement to have any effect; with
     /// `tier: None` a default `headers_near(1)` spec is assumed so the
     /// chain loads are checkable. `None` (default) = every load succeeds.
+    /// `Some` runs the probe on [`MemEnv`].
     pub fault: Option<FaultPlan>,
     /// AMU issue coalescing (`amac::engine::amu::CoalescingUnit`):
     /// `Some(G)` dedups duplicate cache-line requests across in-flight
@@ -59,15 +61,26 @@ pub struct ProbeConfig {
     /// [`EngineStats::coalesced_loads`]. `None` (default) = a scalar
     /// unit, bit-exact with the pre-AMU plumbing. Coalescing never
     /// changes results or fault decisions — only which loads actually
-    /// issue.
+    /// issue. `Some` runs the probe on [`MemEnv`].
     pub coalesce: Option<usize>,
     /// Record a structured trace (`amac_trace`): every load the probe
     /// waits on (with its attributed stall), every fault, every
     /// retirement. The trace is returned in [`ProbeOutput::trace`];
     /// results and [`EngineStats`] are bit-identical with tracing on or
-    /// off. `false` (default) = a disabled tracer, one dead branch per
-    /// stage.
+    /// off. `true` runs the probe on [`MemEnv`]; `false` (default) with
+    /// the three knobs above off runs it on [`Native`](amac::engine::Native), which has no
+    /// tracer at all.
     pub trace: bool,
+}
+
+impl ProbeConfig {
+    /// Whether the probe runs on [`Native`](amac::engine::Native) (no unit, clock, lane or
+    /// tracer): `tier`, `fault` and `coalesce` all `None` and `trace`
+    /// off. Every probe driver picks its env with this rule; anything
+    /// else runs on [`MemEnv`].
+    pub fn native(&self) -> bool {
+        self.tier.is_none() && self.fault.is_none() && self.coalesce.is_none() && !self.trace
+    }
 }
 
 impl Default for ProbeConfig {
@@ -121,24 +134,25 @@ impl ProbeOutput {
 
 /// Per-lookup probe state: the paper's circular-buffer entry (Fig. 4),
 /// plus the precomputed SWAR probe word for the key's fingerprint.
-pub struct ProbeState {
+pub struct ProbeState<E: LaneEnv = MemEnv> {
     key: u64,
     idx: usize,
     ptr: *const Bucket,
     /// [`probe_word`] of the key's fingerprint, computed once in stage 0.
     probe: u32,
-    /// The lookup's AMU lane (pending load, hop, slab, commit group).
-    lane: Lane,
+    /// The lookup's AMU lane (zero-sized under [`Native`](amac::engine::Native)).
+    lane: E::Lane,
 }
 
-impl Default for ProbeState {
+impl<E: LaneEnv> Default for ProbeState<E> {
     fn default() -> Self {
-        ProbeState { key: 0, idx: 0, ptr: core::ptr::null(), probe: 0, lane: Lane::default() }
+        ProbeState { key: 0, idx: 0, ptr: core::ptr::null(), probe: 0, lane: E::Lane::default() }
     }
 }
 
-/// The probe lookup as a state machine (Table 1, "Hash Join Probe").
-pub struct ProbeOp<'a> {
+/// The probe lookup as a state machine (Table 1, "Hash Join Probe"),
+/// compiled against memory environment `E`.
+pub struct ProbeOp<'a, E = MemEnv> {
     ht: &'a HashTable,
     cfg: ProbeConfig,
     n_stages: usize,
@@ -153,16 +167,26 @@ pub struct ProbeOp<'a> {
     /// Memory environment every load routes through (built from
     /// [`ProbeConfig::tier`], [`ProbeConfig::fault`] and
     /// [`ProbeConfig::coalesce`]).
-    env: MemEnv,
+    env: E,
 }
 
 impl<'a> ProbeOp<'a> {
-    /// Build the op for one run over `n_probes` tuples.
+    /// Build the op for one run over `n_probes` tuples, in a [`MemEnv`]
+    /// (the serving layer's env; drivers pick theirs with
+    /// [`ProbeConfig::native`]).
     pub fn new(ht: &'a HashTable, cfg: &ProbeConfig, n_probes: usize) -> Self {
+        Self::new_in(ht, cfg, n_probes)
+    }
+}
+
+impl<'a, E: OpEnv> ProbeOp<'a, E> {
+    /// [`new`](ProbeOp::new) in env `E` (`Native` only when
+    /// [`ProbeConfig::native`]).
+    pub fn new_in(ht: &'a HashTable, cfg: &ProbeConfig, n_probes: usize) -> Self {
         let n_stages = if cfg.n_stages == 0 { auto_chain_estimate(ht) } else { cfg.n_stages };
         ProbeOp {
             ht,
-            env: MemEnv::new(cfg.tier, cfg.fault, cfg.coalesce),
+            env: E::from_knobs(cfg.tier, cfg.fault, cfg.coalesce),
             cfg: cfg.clone(),
             n_stages,
             matches: 0,
@@ -213,9 +237,9 @@ pub(crate) fn auto_chain_estimate(ht: &HashTable) -> usize {
     nodes.max(1) as usize
 }
 
-impl LookupOp for ProbeOp<'_> {
+impl<E: LaneEnv> LookupOp for ProbeOp<'_, E> {
     type Input = Tuple;
-    type State = ProbeState;
+    type State = ProbeState<E>;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
@@ -223,7 +247,8 @@ impl LookupOp for ProbeOp<'_> {
 
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
-    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
+    #[inline(always)]
+    fn start(&mut self, input: Tuple, state: &mut ProbeState<E>) {
         let ptr = self.ht.bucket_addr(input.key);
         state.key = input.key;
         state.idx = self.cursor;
@@ -238,8 +263,11 @@ impl LookupOp for ProbeOp<'_> {
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
-    /// hit, output on match, chase the `u32` chain index.
-    fn step(&mut self, state: &mut ProbeState) -> Step {
+    /// hit, output on match, chase the `u32` chain index. Always inlined
+    /// into the executor loop: under `Native` the stage is then the bare
+    /// chain walk of Listing 1.
+    #[inline(always)]
+    fn step(&mut self, state: &mut ProbeState<E>) -> Step {
         // Dereferencing the requested line: stall until it is resident,
         // then execute this stage.
         self.env.load("probe", state.key, &state.lane);
@@ -306,24 +334,23 @@ impl LookupOp for ProbeOp<'_> {
 
 /// Run a probe of `s` against `ht` with `technique`.
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
-    let mut op = ProbeOp::new(ht, cfg, s.len());
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let cycles = timer.cycles();
-    let seconds = timer.seconds();
-    let trace = env::take_tracer(&mut op);
-    ProbeOutput {
-        matches: op.matches,
-        checksum: op.checksum,
-        out: op.out,
-        stats,
-        cycles,
-        seconds,
-        trace,
-    }
+    in_env!(cfg.native(), |E| {
+        let mut op = crate::traced(ProbeOp::<E>::new_in(ht, cfg, s.len()), cfg.trace);
+        let timer = CycleTimer::start();
+        let stats = run(technique, &mut op, &s.tuples, cfg.params);
+        let cycles = timer.cycles();
+        let seconds = timer.seconds();
+        let trace = env::take_tracer(&mut op);
+        ProbeOutput {
+            matches: op.matches,
+            checksum: op.checksum,
+            out: op.out,
+            stats,
+            cycles,
+            seconds,
+            trace,
+        }
+    })
 }
 
 /// Build configuration.
@@ -335,8 +362,17 @@ pub struct BuildConfig {
     /// their latched O(1) insert; see [`ProbeConfig::tier`]). Note the
     /// simulated counters of *multi-threaded* builds include real latch
     /// retries and are therefore only run-to-run deterministic
-    /// single-threaded.
+    /// single-threaded. `Some` runs the build on [`MemEnv`], `None` on
+    /// [`Native`](amac::engine::Native) (see [`BuildConfig::native`]).
     pub tier: Option<TierSpec>,
+}
+
+impl BuildConfig {
+    /// Whether the build runs on [`Native`](amac::engine::Native): `tier` is `None`. Every
+    /// build driver picks its env with this rule.
+    pub fn native(&self) -> bool {
+        self.tier.is_none()
+    }
 }
 
 /// Result of one build run.
@@ -351,48 +387,53 @@ pub struct BuildOutput {
 }
 
 /// Per-lookup build state.
-pub struct BuildState {
+pub struct BuildState<E: LaneEnv = MemEnv> {
     key: u64,
     payload: u64,
     bucket: *const Bucket,
     /// The insert's AMU lane (one header load).
-    lane: Lane,
+    lane: E::Lane,
 }
 
-impl Default for BuildState {
+impl<E: LaneEnv> Default for BuildState<E> {
     fn default() -> Self {
-        BuildState { key: 0, payload: 0, bucket: core::ptr::null(), lane: Lane::default() }
+        BuildState { key: 0, payload: 0, bucket: core::ptr::null(), lane: E::Lane::default() }
     }
 }
 
 /// The build lookup as a state machine (Table 1, "Hash Join Build",
 /// simplified to the O(1) head insert the NPO build actually performs).
-pub struct BuildOp<'a> {
+pub struct BuildOp<'a, E = MemEnv> {
     handle: BuildHandle<'a>,
     nodes_visited: u64,
     /// Scalar-unit environment: builds issue one header load per insert,
     /// so there is nothing for a coalescing unit to dedup within a lane.
-    env: MemEnv,
+    env: E,
 }
 
-impl<'a> BuildOp<'a> {
+impl<'a, E: OpEnv> BuildOp<'a, E> {
     /// Create a build op inserting into `ht` through a private arena,
-    /// under an optional memory-tier cost model.
+    /// under an optional memory-tier cost model, in env `E` (`Native`
+    /// only untiered).
     pub fn new(ht: &'a HashTable, tier: Option<TierSpec>) -> Self {
-        BuildOp { handle: ht.build_handle(), nodes_visited: 0, env: MemEnv::new(tier, None, None) }
+        BuildOp {
+            handle: ht.build_handle(),
+            nodes_visited: 0,
+            env: E::from_knobs(tier, None, None),
+        }
     }
 }
 
-impl LookupOp for BuildOp<'_> {
+impl<E: LaneEnv> LookupOp for BuildOp<'_, E> {
     type Input = Tuple;
-    type State = BuildState;
+    type State = BuildState<E>;
 
     fn budgeted_steps(&self) -> usize {
         1
     }
 
     /// Code 0: get new tuple, compute bucket address, prefetch (for write).
-    fn start(&mut self, input: Tuple, state: &mut BuildState) {
+    fn start(&mut self, input: Tuple, state: &mut BuildState<E>) {
         let bucket = self.handle.table().bucket_addr(input.key);
         amac_mem::prefetch::prefetch_write(bucket);
         state.key = input.key;
@@ -402,7 +443,7 @@ impl LookupOp for BuildOp<'_> {
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
-    fn step(&mut self, state: &mut BuildState) -> Step {
+    fn step(&mut self, state: &mut BuildState<E>) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
         self.env.wait(&state.lane);
@@ -434,10 +475,12 @@ impl LookupOp for BuildOp<'_> {
 /// Build `ht` from `r` with `technique`. The table must be empty (or at
 /// least sized for the extra tuples).
 pub fn build(ht: &HashTable, r: &Relation, technique: Technique, cfg: &BuildConfig) -> BuildOutput {
-    let mut op = BuildOp::new(ht, cfg.tier);
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &r.tuples, cfg.params);
-    BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }
+    in_env!(cfg.native(), |E| {
+        let mut op = BuildOp::<E>::new(ht, cfg.tier);
+        let timer = CycleTimer::start();
+        let stats = run(technique, &mut op, &r.tuples, cfg.params);
+        BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }
+    })
 }
 
 /// Convenience: build (always with `technique`) then probe, returning

@@ -12,7 +12,7 @@
 //! (see `bench/bin/layout` and `tests/layout_ab.rs`).
 
 use amac::engine::amu::AddrClass;
-use amac::engine::{run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Env, LaneEnv, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::legacy::{LegacyAggBucket, LegacyAggHandle, LegacyBucket};
 use amac_hashtable::{LegacyAggTable, LegacyHashTable, LEGACY_TUPLES_PER_NODE};
 use amac_mem::prefetch::{prefetch_read, prefetch_write, PrefetchHint};

@@ -35,6 +35,25 @@
 //! [`legacy`] carries A/B ops over the seed's 2-tuple pointer-linked node
 //! layout, so the tag-probed redesign's hop savings stay measurable.
 
+use amac::engine::{env, LookupOp};
+use amac_trace::Tracer;
+
+/// Evaluate `$body` with the type alias `$E` bound to
+/// [`Native`](amac::engine::Native) when `$native`, else to
+/// [`MemEnv`](amac_tier::MemEnv): how a driver turns its config's
+/// `native()` rule into the env type its ops are compiled against.
+macro_rules! in_env {
+    ($native:expr, |$E:ident| $body:expr) => {
+        if $native {
+            type $E = amac::engine::Native;
+            $body
+        } else {
+            type $E = amac_tier::MemEnv;
+            $body
+        }
+    };
+}
+
 pub mod bst;
 pub mod btree;
 pub mod groupby;
@@ -50,3 +69,11 @@ pub mod pipeline;
 pub mod skiplist;
 
 pub use amac::engine::{Technique, TuningParams};
+
+/// `op`, with an enabled tracer installed when `on` (a config's `trace`).
+fn traced<O: LookupOp>(mut op: O, on: bool) -> O {
+    if on {
+        env::set_tracer(&mut op, Tracer::on());
+    }
+    op
+}

@@ -39,7 +39,7 @@
 //! bit-for-bit (same fresh-node indices, same chain order).
 
 use amac::engine::amu::AddrClass;
-use amac::engine::{env, run, EngineStats, Env, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Env, LaneEnv, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;

@@ -24,6 +24,10 @@ use amac_runtime::{execute, execute_with_prologue, MorselConfig, RunReport};
 use amac_skiplist::SkipList;
 use amac_workload::{Relation, Tuple};
 
+use crate::groupby::GroupByOp;
+use crate::join::{BuildOp, ProbeOp};
+use crate::pipeline::{self, PipelineConfig};
+
 pub use amac_runtime::Scheduling;
 
 /// Result of a multi-threaded run.
@@ -74,24 +78,26 @@ pub fn probe_mt_rt(
     rt: &MorselConfig,
 ) -> MtOutput {
     let cfg = crate::join::ProbeConfig { materialize: false, ..cfg.clone() };
-    let run = execute_with_prologue(
-        &s.tuples,
-        technique,
-        cfg.params,
-        rt,
-        |_tid| crate::join::ProbeOp::new(ht, &cfg, 0),
-        |_op, morsel: &[Tuple]| {
-            for t in &morsel[..morsel.len().min(64)] {
-                amac_mem::prefetch::prefetch_read_t0(ht.bucket_addr(t.key));
-            }
-        },
-    );
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        out.matches += op.matches();
-        out.checksum = out.checksum.wrapping_add(op.checksum());
-    }
-    out
+    in_env!(cfg.native(), |E| {
+        let run = execute_with_prologue(
+            &s.tuples,
+            technique,
+            cfg.params,
+            rt,
+            |_tid| crate::traced(ProbeOp::<E>::new_in(ht, &cfg, 0), cfg.trace),
+            |_op, morsel: &[Tuple]| {
+                for t in &morsel[..morsel.len().min(64)] {
+                    amac_mem::prefetch::prefetch_read_t0(ht.bucket_addr(t.key));
+                }
+            },
+        );
+        let mut out = MtOutput::from_report(run.report);
+        for op in &run.ops {
+            out.matches += op.matches();
+            out.checksum = out.checksum.wrapping_add(op.checksum());
+        }
+        out
+    })
 }
 
 /// Multi-threaded hash-table build (`auto_tune` is ignored: the tuning
@@ -104,10 +110,11 @@ pub fn build_mt_rt(
     rt: &MorselConfig,
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&r.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::join::BuildOp::new(ht, cfg.tier)
-    });
-    MtOutput::from_report(run.report)
+    in_env!(cfg.native(), |E| {
+        let run =
+            execute(&r.tuples, technique, cfg.params, &rt, |_tid| BuildOp::<E>::new(ht, cfg.tier));
+        MtOutput::from_report(run.report)
+    })
 }
 
 /// Multi-threaded group-by (`auto_tune` ignored — the tuning probe would
@@ -120,12 +127,14 @@ pub fn groupby_mt_rt(
     rt: &MorselConfig,
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&input.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::groupby::GroupByOp::new(table, cfg)
-    });
-    let mut out = MtOutput::from_report(run.report);
-    out.matches = run.ops.iter().map(|op| op.tuples()).sum();
-    out
+    in_env!(cfg.native(), |E| {
+        let run = execute(&input.tuples, technique, cfg.params, &rt, |_tid| {
+            crate::traced(GroupByOp::<E>::new_in(table, cfg), cfg.trace)
+        });
+        let mut out = MtOutput::from_report(run.report);
+        out.matches = run.ops.iter().map(|op| op.tuples()).sum();
+        out
+    })
 }
 
 /// An [`MtOutput`] plus pipeline-shape evidence, returned by the fused
@@ -153,21 +162,23 @@ pub fn probe_groupby_mt_rt(
     table: &AggTable,
     s: &Relation,
     technique: Technique,
-    cfg: &crate::pipeline::PipelineConfig,
+    cfg: &PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::pipeline::fused_probe_groupby_op(ht, table, cfg)
-    });
-    let mut res = MtPipeline { passes: 1, ..Default::default() };
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        res.matched += op.pipe().up().matches();
-        out.matches += op.pipe().down().inner().tuples();
-    }
-    res.out = out;
-    res
+    in_env!(cfg.native(), |E| {
+        let run = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
+            crate::traced(pipeline::fused_probe_groupby_op_in::<E>(ht, table, cfg), cfg.trace)
+        });
+        let mut res = MtPipeline { passes: 1, ..Default::default() };
+        let mut out = MtOutput::from_report(run.report);
+        for op in &run.ops {
+            res.matched += op.pipe().up().matches();
+            out.matches += op.pipe().down().inner().tuples();
+        }
+        res.out = out;
+        res
+    })
 }
 
 /// Multi-threaded **two-phase** reference for [`probe_groupby_mt_rt`]:
@@ -180,34 +191,23 @@ pub fn probe_groupby_two_phase_mt_rt(
     table: &AggTable,
     s: &Relation,
     technique: Technique,
-    cfg: &crate::pipeline::PipelineConfig,
+    cfg: &PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run1 = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::pipeline::materializing_probe_op(ht, cfg)
+    let (mut report, matched, mid) = in_env!(cfg.native(), |E| {
+        let run1 = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
+            crate::traced(pipeline::materializing_probe_op::<E>(ht, cfg), cfg.trace)
+        });
+        let mut matched = 0u64;
+        let mut mid = Vec::new();
+        for op in run1.ops {
+            matched += op.pipe().matches();
+            mid.extend(op.into_sink().out);
+        }
+        (run1.report, matched, Relation::from_tuples(mid))
     });
-    let mut matched = 0u64;
-    let mut mid = Vec::new();
-    for op in run1.ops {
-        matched += op.pipe().matches();
-        mid.extend(op.into_sink().out);
-    }
-    let mid = Relation::from_tuples(mid);
-    let gb = groupby_mt_rt(
-        table,
-        &mid,
-        technique,
-        &crate::groupby::GroupByConfig {
-            params: cfg.params,
-            n_stages: 0,
-            tier: cfg.tier,
-            coalesce: cfg.coalesce,
-            trace: false,
-        },
-        &rt,
-    );
-    let mut report = run1.report;
+    let gb = groupby_mt_rt(table, &mid, technique, &pipeline::groupby_config(cfg), &rt);
     report.absorb(&gb.report);
     let mut out = MtOutput::from_report(report);
     out.matches = gb.matches;
@@ -228,21 +228,23 @@ pub fn probe_probe_mt_rt(
     ht2: &HashTable,
     s: &Relation,
     technique: Technique,
-    cfg: &crate::pipeline::PipelineConfig,
+    cfg: &PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
-    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
-        crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg)
-    });
-    let mut res = MtPipeline { passes: 1, ..Default::default() };
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        res.matched += op.pipe().up().matches();
-        out.matches += op.sink().matches;
-        out.checksum = out.checksum.wrapping_add(op.sink().checksum);
-    }
-    res.out = out;
-    res
+    in_env!(cfg.native(), |E| {
+        let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
+            crate::traced(pipeline::fused_probe_probe_op::<E>(ht1, ht2, cfg), cfg.trace)
+        });
+        let mut res = MtPipeline { passes: 1, ..Default::default() };
+        let mut out = MtOutput::from_report(run.report);
+        for op in &run.ops {
+            res.matched += op.pipe().up().matches();
+            out.matches += op.sink().matches;
+            out.checksum = out.checksum.wrapping_add(op.sink().checksum);
+        }
+        res.out = out;
+        res
+    })
 }
 
 /// Multi-threaded skip-list search.

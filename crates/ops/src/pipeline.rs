@@ -53,13 +53,13 @@ use amac::engine::amu::AddrClass;
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
 };
-use amac::engine::{env, run, EngineStats, Env, Technique, TuningParams};
+use amac::engine::{env, run, EngineStats, Env, LaneEnv, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, AggTable, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{FaultPlan, Lane, MemEnv, TierSpec};
+use amac_tier::{FaultPlan, MemEnv, OpEnv, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{FilterSpec, Relation, Tuple};
 
@@ -76,7 +76,9 @@ pub struct PipelineConfig {
     /// Memory-tier cost model, applied to **every** stage of the fused
     /// chain (the `Chain` keeps the member clocks in lock-step, so the
     /// pipeline has one simulated timeline). See
-    /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier).
+    /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier). This and
+    /// the next three fields pick the env exactly as they do for a probe
+    /// (see [`PipelineConfig::native`]).
     pub tier: Option<TierSpec>,
     /// Seeded far-tier fault plan, applied to the **probe** stages' chain
     /// loads (the latched group-by stage is unfaultable: its incremental
@@ -99,6 +101,15 @@ pub struct PipelineConfig {
     pub trace: bool,
 }
 
+impl PipelineConfig {
+    /// Whether every stage runs on [`Native`](amac::engine::Native):
+    /// `tier`, `fault` and `coalesce` all `None` and `trace` off. Every
+    /// pipeline driver picks its env with this rule.
+    pub fn native(&self) -> bool {
+        self.tier.is_none() && self.fault.is_none() && self.coalesce.is_none() && !self.trace
+    }
+}
+
 /// A join match flowing between pipeline operators: the probe tuple's
 /// key/payload plus the matched build payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,31 +124,31 @@ pub struct Joined {
 }
 
 /// Per-slot state of a [`ProbeStage`].
-pub struct ProbePipeState {
+pub struct ProbePipeState<E: LaneEnv = MemEnv> {
     key: u64,
     payload: u64,
     ptr: *const Bucket,
     /// SWAR probe word of the key's fingerprint.
     probe: u32,
-    /// The lookup's AMU lane (pending load, hop, slab, commit group).
-    lane: Lane,
+    /// The lookup's AMU lane (zero-sized under `Native`).
+    lane: E::Lane,
 }
 
-impl Default for ProbePipeState {
+impl<E: LaneEnv> Default for ProbePipeState<E> {
     fn default() -> Self {
         ProbePipeState {
             key: 0,
             payload: 0,
             ptr: core::ptr::null(),
             probe: 0,
-            lane: Lane::default(),
+            lane: E::Lane::default(),
         }
     }
 }
 
 /// Hash-table probe as a pipeline operator: emits the **first** match as
 /// a [`Joined`] tuple (FK join semantics), skips on a miss.
-pub struct ProbeStage<'a> {
+pub struct ProbeStage<'a, E = MemEnv> {
     ht: &'a HashTable,
     hint: PrefetchHint,
     n_stages: usize,
@@ -145,20 +156,22 @@ pub struct ProbeStage<'a> {
     nodes_visited: u64,
     tag_rejects: u64,
     /// Memory environment every load routes through.
-    env: MemEnv,
+    env: E,
     /// This stage ends its chain: an emitted tuple leaves the window, so
     /// the stage records the retirement itself instead of deferring to a
     /// downstream operator.
     terminal: bool,
 }
 
-impl<'a> ProbeStage<'a> {
+impl<'a, E: OpEnv> ProbeStage<'a, E> {
     /// Probe stage against `ht` under the config's prefetch hint, tier,
     /// fault plan (this stage's chain loads; see
     /// [`ProbeConfig::fault`](crate::join::ProbeConfig::fault)) and AMU
     /// coalescing knob. The GP/SPP stage budget is derived from the
     /// table's occupancy as for
     /// [`ProbeConfig::n_stages`](crate::join::ProbeConfig::n_stages)` = 0`.
+    /// The stage runs in env `E` (`Native` only when
+    /// [`PipelineConfig::native`]).
     pub fn new(ht: &'a HashTable, cfg: &PipelineConfig) -> Self {
         ProbeStage {
             ht,
@@ -167,7 +180,7 @@ impl<'a> ProbeStage<'a> {
             matches: 0,
             nodes_visited: 0,
             tag_rejects: 0,
-            env: MemEnv::new(cfg.tier, cfg.fault, cfg.coalesce),
+            env: E::from_knobs(cfg.tier, cfg.fault, cfg.coalesce),
             terminal: false,
         }
     }
@@ -187,16 +200,16 @@ impl<'a> ProbeStage<'a> {
     }
 }
 
-impl PipelineOp for ProbeStage<'_> {
+impl<E: LaneEnv> PipelineOp for ProbeStage<'_, E> {
     type Input = Tuple;
     type Output = Joined;
-    type State = ProbePipeState;
+    type State = ProbePipeState<E>;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    fn start(&mut self, input: Tuple, state: &mut ProbePipeState) {
+    fn start(&mut self, input: Tuple, state: &mut ProbePipeState<E>) {
         let ptr = self.ht.bucket_addr(input.key);
         state.key = input.key;
         state.payload = input.payload;
@@ -207,7 +220,7 @@ impl PipelineOp for ProbeStage<'_> {
         }
     }
 
-    fn step(&mut self, state: &mut ProbePipeState) -> StageStep<Joined> {
+    fn step(&mut self, state: &mut ProbePipeState<E>) -> StageStep<Joined> {
         self.env.load("probe", state.key, &state.lane);
         self.env.wait(&state.lane);
         // SAFETY: probe runs in the table's read-only phase; `ptr` always
@@ -276,20 +289,16 @@ impl PipelineOp for ProbeStage<'_> {
 /// [`Terminal`] so the unsafe walk exists in exactly one place. Read the
 /// aggregated-tuple count back via
 /// [`Terminal::inner`]`().`[`tuples()`](crate::groupby::GroupByOp::tuples).
-pub type GroupByStage<'a> = Terminal<crate::groupby::GroupByOp<'a>>;
+pub type GroupByStage<'a, E = MemEnv> = Terminal<crate::groupby::GroupByOp<'a, E>>;
 
-/// Build a [`GroupByStage`] aggregating into `table` with the derived
-/// (`n_stages = 0`) stage budget and an optional memory-tier cost model.
-pub fn groupby_stage<'a>(
+/// Build a [`GroupByStage`] aggregating into `table` under `cfg`'s
+/// tuning, tier and coalescing, with the derived (`n_stages = 0`) stage
+/// budget, in env `E`.
+pub fn groupby_stage<'a, E: OpEnv>(
     table: &'a AggTable,
-    params: TuningParams,
-    tier: Option<TierSpec>,
-    coalesce: Option<usize>,
-) -> GroupByStage<'a> {
-    Terminal(crate::groupby::GroupByOp::new(
-        table,
-        &crate::groupby::GroupByConfig { params, n_stages: 0, tier, coalesce, trace: false },
-    ))
+    cfg: &PipelineConfig,
+) -> GroupByStage<'a, E> {
+    Terminal(crate::groupby::GroupByOp::new_in(table, &groupby_config(cfg)))
 }
 
 /// The fused filter + projection between the probe and its consumer:
@@ -361,10 +370,10 @@ impl Consumer<Joined> for RouteCollect {
 /// route through the fused filter/projection, and collect survivors into
 /// an intermediate `Vec`. One constructor so all two-phase drivers (ST
 /// and MT) share the exact phase-1 semantics of the fused plans.
-pub fn materializing_probe_op<'a>(
+pub fn materializing_probe_op<'a, E: OpEnv>(
     ht: &'a HashTable,
     cfg: &PipelineConfig,
-) -> Fused<ProbeStage<'a>, RouteCollect> {
+) -> Fused<ProbeStage<'a, E>, RouteCollect> {
     Fused::new(
         ProbeStage::new(ht, cfg).terminal(),
         RouteCollect::new(FilterProject { filter: cfg.filter }),
@@ -373,25 +382,35 @@ pub fn materializing_probe_op<'a>(
 
 /// The fused probe → filter → group-by executor op (nameable so
 /// multi-threaded drivers can read per-worker accumulators back).
-pub type FusedProbeGroupBy<'a> =
-    Fused<Chain<ProbeStage<'a>, GroupByStage<'a>, FilterProject>, Discard>;
+pub type FusedProbeGroupBy<'a, E = MemEnv> =
+    Fused<Chain<ProbeStage<'a, E>, GroupByStage<'a, E>, FilterProject>, Discard>;
 
 /// The fused probe → filter → probe executor op for 2-join chains.
-pub type FusedProbeProbe<'a> =
-    Fused<Chain<ProbeStage<'a>, ProbeStage<'a>, FilterProject>, CountChecksum>;
+pub type FusedProbeProbe<'a, E = MemEnv> =
+    Fused<Chain<ProbeStage<'a, E>, ProbeStage<'a, E>, FilterProject>, CountChecksum>;
 
 /// Build the fused probe→filter→group-by op: probe `ht`, filter on the
 /// probe payload, aggregate the survivors into `table` keyed by the
-/// matched build payload.
+/// matched build payload. The stages run in a [`MemEnv`].
 pub fn fused_probe_groupby_op<'a>(
     ht: &'a HashTable,
     table: &'a AggTable,
     cfg: &PipelineConfig,
 ) -> FusedProbeGroupBy<'a> {
+    fused_probe_groupby_op_in(ht, table, cfg)
+}
+
+/// [`fused_probe_groupby_op`] in env `E` (`Native` only when
+/// [`PipelineConfig::native`]).
+pub fn fused_probe_groupby_op_in<'a, E: OpEnv>(
+    ht: &'a HashTable,
+    table: &'a AggTable,
+    cfg: &PipelineConfig,
+) -> FusedProbeGroupBy<'a, E> {
     Fused::new(
         Chain::new(
             ProbeStage::new(ht, cfg),
-            groupby_stage(table, cfg.params, cfg.tier, cfg.coalesce),
+            groupby_stage(table, cfg),
             FilterProject { filter: cfg.filter },
         ),
         Discard,
@@ -401,12 +420,12 @@ pub fn fused_probe_groupby_op<'a>(
 /// Build the fused 2-join-chain op: probe `ht1`, filter, then probe `ht2`
 /// with the matched build payload as the key (snowflake chain
 /// `S ⋈ R1 ⋈ R2`). Final matches land in the op's [`CountChecksum`]-style
-/// accumulators on the second stage.
-pub fn fused_probe_probe_op<'a>(
+/// accumulators on the second stage. Built in env `E`.
+pub fn fused_probe_probe_op<'a, E: OpEnv>(
     ht1: &'a HashTable,
     ht2: &'a HashTable,
     cfg: &PipelineConfig,
-) -> FusedProbeProbe<'a> {
+) -> FusedProbeProbe<'a, E> {
     Fused::new(
         Chain::new(
             ProbeStage::new(ht1, cfg),
@@ -454,24 +473,23 @@ pub fn probe_then_groupby(
     technique: Technique,
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
-    let mut op = fused_probe_groupby_op(ht, table, cfg);
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = env::take_tracer(&mut op);
-    PipelineOutput {
-        matched: op.pipe().up().matches(),
-        aggregated: op.pipe().down().inner().tuples(),
-        checksum: 0,
-        stats,
-        cycles: timer.cycles(),
-        seconds: timer.seconds(),
-        intermediate_bytes: 0,
-        passes: 1,
-        trace,
-    }
+    in_env!(cfg.native(), |E| {
+        let mut op = crate::traced(fused_probe_groupby_op_in::<E>(ht, table, cfg), cfg.trace);
+        let timer = CycleTimer::start();
+        let stats = run(technique, &mut op, &s.tuples, cfg.params);
+        let trace = env::take_tracer(&mut op);
+        PipelineOutput {
+            matched: op.pipe().up().matches(),
+            aggregated: op.pipe().down().inner().tuples(),
+            checksum: 0,
+            stats,
+            cycles: timer.cycles(),
+            seconds: timer.seconds(),
+            intermediate_bytes: 0,
+            passes: 1,
+            trace,
+        }
+    })
 }
 
 /// Two-phase reference for [`probe_then_groupby`]: phase 1 probes and
@@ -488,27 +506,14 @@ pub fn probe_then_groupby_two_phase(
 ) -> PipelineOutput {
     let timer = CycleTimer::start();
     // Phase 1: probe, materializing the filtered+projected join output.
-    let mut op = materializing_probe_op(ht, cfg);
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let matched = op.pipe().matches();
-    let mut trace = env::take_tracer(&mut op);
-    let mid = Relation::from_tuples(op.into_sink().out);
+    let (mut stats, matched, mut trace, mid) = in_env!(cfg.native(), |E| {
+        let mut op = crate::traced(materializing_probe_op::<E>(ht, cfg), cfg.trace);
+        let stats = run(technique, &mut op, &s.tuples, cfg.params);
+        let trace = env::take_tracer(&mut op);
+        (stats, op.pipe().matches(), trace, Relation::from_tuples(op.into_sink().out))
+    });
     // Phase 2: aggregate the intermediate.
-    let gb = crate::groupby::groupby(
-        table,
-        &mid,
-        technique,
-        &crate::groupby::GroupByConfig {
-            params: cfg.params,
-            n_stages: 0,
-            tier: cfg.tier,
-            coalesce: cfg.coalesce,
-            trace: cfg.trace,
-        },
-    );
+    let gb = crate::groupby::groupby(table, &mid, technique, &groupby_config(cfg));
     stats.merge(&gb.stats);
     trace.merge(gb.trace);
     PipelineOutput {
@@ -524,6 +529,18 @@ pub fn probe_then_groupby_two_phase(
     }
 }
 
+/// The group-by config of a two-phase plan's phase 2: the pipeline's
+/// tuning, tier, coalescing and tracing, with the derived stage budget.
+pub(crate) fn groupby_config(cfg: &PipelineConfig) -> crate::groupby::GroupByConfig {
+    crate::groupby::GroupByConfig {
+        params: cfg.params,
+        n_stages: 0,
+        tier: cfg.tier,
+        coalesce: cfg.coalesce,
+        trace: cfg.trace,
+    }
+}
+
 /// Fused 2-join chain `S ⋈ R1 ⋈ R2` (probe→filter→probe) in one AMAC
 /// window: R1's matched payload is the key probed into R2.
 pub fn probe_then_probe(
@@ -533,24 +550,23 @@ pub fn probe_then_probe(
     technique: Technique,
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
-    let mut op = fused_probe_probe_op(ht1, ht2, cfg);
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = env::take_tracer(&mut op);
-    PipelineOutput {
-        matched: op.pipe().up().matches(),
-        aggregated: op.sink().matches,
-        checksum: op.sink().checksum,
-        stats,
-        cycles: timer.cycles(),
-        seconds: timer.seconds(),
-        intermediate_bytes: 0,
-        passes: 1,
-        trace,
-    }
+    in_env!(cfg.native(), |E| {
+        let mut op = crate::traced(fused_probe_probe_op::<E>(ht1, ht2, cfg), cfg.trace);
+        let timer = CycleTimer::start();
+        let stats = run(technique, &mut op, &s.tuples, cfg.params);
+        let trace = env::take_tracer(&mut op);
+        PipelineOutput {
+            matched: op.pipe().up().matches(),
+            aggregated: op.sink().matches,
+            checksum: op.sink().checksum,
+            stats,
+            cycles: timer.cycles(),
+            seconds: timer.seconds(),
+            intermediate_bytes: 0,
+            passes: 1,
+            trace,
+        }
+    })
 }
 
 /// Two-phase reference for [`probe_then_probe`]: materialize the first
@@ -562,32 +578,29 @@ pub fn probe_then_probe_two_phase(
     technique: Technique,
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
-    let timer = CycleTimer::start();
-    let mut op = materializing_probe_op(ht1, cfg);
-    if cfg.trace {
-        env::set_tracer(&mut op, Tracer::on());
-    }
-    let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let matched = op.pipe().matches();
-    let mut trace = env::take_tracer(&mut op);
-    let mid = Relation::from_tuples(op.into_sink().out);
-    let mut op2 = Fused::new(ProbeStage::new(ht2, cfg).terminal(), CountChecksum::default());
-    if cfg.trace {
-        env::set_tracer(&mut op2, Tracer::on());
-    }
-    stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
-    trace.merge(env::take_tracer(&mut op2));
-    PipelineOutput {
-        matched,
-        aggregated: op2.sink().matches,
-        checksum: op2.sink().checksum,
-        stats,
-        cycles: timer.cycles(),
-        seconds: timer.seconds(),
-        intermediate_bytes: mid.bytes() as u64,
-        passes: 2,
-        trace,
-    }
+    in_env!(cfg.native(), |E| {
+        let timer = CycleTimer::start();
+        let mut op = crate::traced(materializing_probe_op::<E>(ht1, cfg), cfg.trace);
+        let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
+        let matched = op.pipe().matches();
+        let mut trace = env::take_tracer(&mut op);
+        let mid = Relation::from_tuples(op.into_sink().out);
+        let stage2 = ProbeStage::<E>::new(ht2, cfg).terminal();
+        let mut op2 = crate::traced(Fused::new(stage2, CountChecksum::default()), cfg.trace);
+        stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
+        trace.merge(env::take_tracer(&mut op2));
+        PipelineOutput {
+            matched,
+            aggregated: op2.sink().matches,
+            checksum: op2.sink().checksum,
+            stats,
+            cycles: timer.cycles(),
+            seconds: timer.seconds(),
+            intermediate_bytes: mid.bytes() as u64,
+            passes: 2,
+            trace,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -1,24 +1,18 @@
-//! [`MemEnv`]: the one memory environment every AMU-routed op owns.
+//! [`MemEnv`]: the memory environment of every AMU-routed op that runs
+//! with a simulated clock, a fault plan, a coalescing unit or a tracer.
 //!
 //! An op's loads go through an AMU unit (`amac::engine::amu`) charging an
 //! optional [`SimClock`]; the loads it waits on, its faults and its
 //! retirements go to a tracer; and the placement policy classifies each
 //! load for stall attribution. `MemEnv` holds all three, derives them
 //! from the op config's `tier`/`fault`/`coalesce` knobs in one place
-//! ([`MemEnv::new`]), and implements [`amac::engine::Env`] so executors
-//! and composition layers reach it through `LookupOp::envs`.
-//!
-//! Its lane helpers are the AMU lifecycle of one lookup, with the trace
-//! hooks at the exact points the clock charges:
-//!
-//! ```text
-//! begin(lane, header)  ─►  load + wait  ─►  hop(lane, key, slab, ptr)  ─►  …  ─►  retire(lane, …)
-//!   stage + issue          trace, stall       fault-checked issue                trace, free lane
-//!                          + stage
-//! ```
+//! ([`MemEnv::new`]), and implements the [`LaneEnv`] protocol with the
+//! trace hooks at the exact points the clock charges. An op config with
+//! every one of those knobs off runs on [`amac::engine::Native`] instead
+//! (see [`OpEnv`]).
 
 use amac::engine::amu::{AddrClass, LoadUnit, MemUnit, Ticket};
-use amac::engine::{EngineStats, Env};
+use amac::engine::{EngineStats, Env, LaneEnv, Native};
 use amac_trace::{ClassKind, TierKind, Tracer};
 
 use crate::{fault_token, trace_tier, FaultPlan, SimClock, TierSpec};
@@ -76,96 +70,6 @@ impl MemEnv {
         self.spec
     }
 
-    /// Stage 0 of a lookup: register the lane, charge the stage and
-    /// request the first (header) line. Gate the hardware prefetch hint
-    /// on the returned ticket's `fresh`.
-    #[inline(always)]
-    pub fn begin(&mut self, lane: &mut Lane, class: AddrClass) -> Ticket {
-        lane.hop = 0;
-        lane.slab = 0;
-        lane.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(class, 0, lane.group);
-        lane.ready_at = t.ready_at;
-        t
-    }
-
-    /// Request the next chain node `ptr` in arena slab `slab`, through the
-    /// backend's fault-checked path. The token is `(key, hop)`, so the
-    /// fault set is identical under every executor and schedule — and
-    /// under coalescing, which re-runs the decision per request. A
-    /// `failed` ticket means the lookup must retire as failed.
-    #[inline(always)]
-    pub fn hop<T>(&mut self, lane: &mut Lane, key: u64, slab: u32, ptr: *const T) -> Ticket {
-        let token = fault_token(key, lane.hop);
-        lane.hop += 1;
-        lane.slab = slab;
-        let t = self.unit.issue(AddrClass::slab_ptr(slab, ptr), token, lane.group);
-        lane.ready_at = t.ready_at;
-        t
-    }
-
-    /// Record the load `lane` is about to wait on (a no-op unless
-    /// tracing). Call it before [`wait`](MemEnv::wait): the recorded stall
-    /// is then exactly what the wait charges.
-    #[inline(always)]
-    pub fn load(&mut self, op: &'static str, key: u64, lane: &Lane) {
-        if self.trace.enabled() {
-            let (class, tier) = self.class_of(lane);
-            let now = self.unit.now();
-            self.trace.load(now, op, key, class, tier, hop16(lane.hop), lane.ready_at);
-        }
-    }
-
-    /// Dereference `lane`'s pending line: stall until it is resident,
-    /// then charge the stage that reads it.
-    #[inline(always)]
-    pub fn wait(&mut self, lane: &Lane) {
-        self.unit.wait(lane.ready_at);
-        self.unit.stage();
-    }
-
-    /// The lookup left the window: record its retirement (preceded by the
-    /// fault that aborted it, if `failed`) and free its lane.
-    #[inline(always)]
-    pub fn retire(&mut self, lane: &Lane, op: &'static str, key: u64, failed: bool) {
-        if self.trace.enabled() {
-            let now = self.unit.now();
-            if failed {
-                self.trace.fault(now, op, key, hop16(lane.hop));
-            }
-            self.trace.retire(now, op, key, hop16(lane.hop), failed);
-        }
-        self.release(lane);
-    }
-
-    /// Free `lane` without a trace event (a fused stage handing its tuple
-    /// downstream, where the terminal operator records the retirement).
-    #[inline(always)]
-    pub fn release(&mut self, lane: &Lane) {
-        self.unit.retire_lane(lane.group);
-    }
-
-    /// Charge one executed code stage that waits on nothing.
-    #[inline(always)]
-    pub fn stage(&mut self) {
-        self.unit.stage();
-    }
-
-    /// Stall until tick `ready_at` (for ops with their own stall model).
-    #[inline(always)]
-    pub fn wait_until(&mut self, ready_at: u64) {
-        self.unit.wait(ready_at);
-    }
-
-    /// Drain the unit's issued/coalesced counts and the clock's
-    /// work/stall/fault ticks into `stats` (the `flush_observed`
-    /// contract).
-    #[inline]
-    pub fn flush(&mut self, stats: &mut EngineStats) {
-        self.unit.flush(stats);
-    }
-
     /// Stall attribution for `lane`'s pending load: hop 0 is the header
     /// line, later hops are slab nodes, and the tier is whatever the
     /// effective policy assigns that address (untiered loads still
@@ -179,6 +83,81 @@ impl MemEnv {
             Some(s) => trace_tier(s.policy.slab_tier(lane.slab)),
         };
         (class, tier)
+    }
+}
+
+impl LaneEnv for MemEnv {
+    type Lane = Lane;
+
+    #[inline(always)]
+    fn begin(&mut self, lane: &mut Lane, class: AddrClass) -> Ticket {
+        lane.hop = 0;
+        lane.slab = 0;
+        lane.group = self.unit.begin_lane();
+        self.unit.stage();
+        let t = self.unit.issue(class, 0, lane.group);
+        lane.ready_at = t.ready_at;
+        t
+    }
+
+    #[inline(always)]
+    fn hop<T>(&mut self, lane: &mut Lane, key: u64, slab: u32, ptr: *const T) -> Ticket {
+        // A `(key, hop)` token makes the fault set identical under every
+        // executor and schedule, and under coalescing, which re-runs the
+        // decision per request.
+        let token = fault_token(key, lane.hop);
+        lane.hop += 1;
+        lane.slab = slab;
+        let t = self.unit.issue(AddrClass::slab_ptr(slab, ptr), token, lane.group);
+        lane.ready_at = t.ready_at;
+        t
+    }
+
+    #[inline(always)]
+    fn load(&mut self, op: &'static str, key: u64, lane: &Lane) {
+        if self.trace.enabled() {
+            let (class, tier) = self.class_of(lane);
+            let now = self.unit.now();
+            self.trace.load(now, op, key, class, tier, hop16(lane.hop), lane.ready_at);
+        }
+    }
+
+    #[inline(always)]
+    fn wait(&mut self, lane: &Lane) {
+        self.unit.wait(lane.ready_at);
+        self.unit.stage();
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, lane: &Lane, op: &'static str, key: u64, failed: bool) {
+        if self.trace.enabled() {
+            let now = self.unit.now();
+            if failed {
+                self.trace.fault(now, op, key, hop16(lane.hop));
+            }
+            self.trace.retire(now, op, key, hop16(lane.hop), failed);
+        }
+        self.release(lane);
+    }
+
+    #[inline(always)]
+    fn release(&mut self, lane: &Lane) {
+        self.unit.retire_lane(lane.group);
+    }
+
+    #[inline(always)]
+    fn stage(&mut self) {
+        self.unit.stage();
+    }
+
+    #[inline(always)]
+    fn wait_until(&mut self, ready_at: u64) {
+        self.unit.wait(ready_at);
+    }
+
+    #[inline]
+    fn flush(&mut self, stats: &mut EngineStats) {
+        self.unit.flush(stats);
     }
 }
 
@@ -215,6 +194,44 @@ impl Env for SimClock {
     #[inline(always)]
     fn advance_to(&mut self, now: u64) {
         SimClock::advance_to(self, now);
+    }
+}
+
+/// An env an op can be built in from its config's `tier`/`fault`/`coalesce`
+/// knobs. Each op config has one `native()` rule picking [`Native`] when
+/// every knob is off and tracing is too, else [`MemEnv`].
+pub trait OpEnv: LaneEnv + Send + Sized {
+    /// The env for these knobs.
+    fn from_knobs(
+        tier: Option<TierSpec>,
+        fault: Option<FaultPlan>,
+        coalesce: Option<usize>,
+    ) -> Self;
+}
+
+impl OpEnv for MemEnv {
+    fn from_knobs(
+        tier: Option<TierSpec>,
+        fault: Option<FaultPlan>,
+        coalesce: Option<usize>,
+    ) -> Self {
+        MemEnv::new(tier, fault, coalesce)
+    }
+}
+
+impl OpEnv for Native {
+    /// Only valid with every knob off: `Native` has no clock to tier,
+    /// no plan to fault and no unit to coalesce with.
+    fn from_knobs(
+        tier: Option<TierSpec>,
+        fault: Option<FaultPlan>,
+        coalesce: Option<usize>,
+    ) -> Self {
+        assert!(
+            tier.is_none() && fault.is_none() && coalesce.is_none(),
+            "a Native env cannot tier, fault or coalesce"
+        );
+        Native::default()
     }
 }
 

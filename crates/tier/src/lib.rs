@@ -103,7 +103,7 @@ mod fault;
 mod wal;
 
 pub use crash::CrashPlan;
-pub use env::{Lane, MemEnv};
+pub use env::{Lane, MemEnv, OpEnv};
 pub use fault::{fault_token, FaultPlan, LoadOutcome};
 pub use wal::{Wal, WalRecord};
 
@@ -820,9 +820,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a Native env cannot tier, fault or coalesce")]
+    fn native_env_refuses_a_tier() {
+        let _ = <amac::engine::Native as OpEnv>::from_knobs(
+            Some(TierSpec::headers_near(2)),
+            None,
+            None,
+        );
+    }
+
+    #[test]
     fn mem_env_derives_one_spec_for_clock_policy_and_faults() {
         use amac::engine::amu::AddrClass;
-        use amac::engine::Env;
+        use amac::engine::{Env, LaneEnv};
         use amac_trace::{EventKind, TierKind, Tracer};
 
         let far8 = TierSpec::headers_near(8);
